@@ -9,7 +9,6 @@ identifications.
 
 from .errors import (
     EnumerationBoundError,
-    InvariantViolationError,
     MalformedInputError,
     PreshError,
 )
@@ -25,7 +24,6 @@ from .lattice import (
     meet,
     restrict_family,
     restriction_functor_r,
-    validate_family,
 )
 from .model import (
     ConstraintTable,

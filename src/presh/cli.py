@@ -85,18 +85,23 @@ class Execution:
             raise MalformedInputError(f"unknown artifact {name!r} (defined: {known})")
         return model
 
+    def require_bounded(self, model: Model) -> Model:
+        """Refuse a model whose sections over all objects could exceed
+        ``max_enum``; call before anything compiles it."""
+        estimate = 1
+        for fib in model.fibers.values():
+            estimate *= 1 + len(fib.values)
+        if estimate > self.max_enum:
+            raise EnumerationBoundError(
+                f"presheaf of {model.name!r} refused",
+                required=estimate,
+                bound=self.max_enum,
+            )
+        return model
+
     def compiled(self, name: str) -> AssignmentPresheaf:
         if name not in self._compiled:
-            model = self.artifact(name)
-            estimate = 1
-            for fib in model.fibers.values():
-                estimate *= 1 + len(fib.values)
-            if estimate > self.max_enum:
-                raise EnumerationBoundError(
-                    f"presheaf of {name!r} refused",
-                    required=estimate,
-                    bound=self.max_enum,
-                )
+            model = self.require_bounded(self.artifact(name))
             self._compiled[name] = compile_model(model)
         return self._compiled[name]
 
@@ -243,11 +248,11 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
             for decl in ex.workspace.identifications.values():
                 if decl.target_name not in ex.artifacts:
                     continue
-                report = analogy_check(
-                    decl.ident,
-                    ex.artifact(decl.source_name),
-                    ex.artifact(decl.target_name),
-                )
+                target = ex.require_bounded(ex.artifact(decl.target_name))
+                # analogy_check also compiles the transfer, over the
+                # identification's own fibers
+                ex.require_bounded(Model(target.name, decl.ident.target_fibers()))
+                report = analogy_check(decl.ident, ex.artifact(decl.source_name), target)
                 violations.extend(f"{decl.ident.name}: {v}" for v in report.violations)
         results[suite] = {"passed": not violations, "violations": violations}
         if violations:
@@ -326,7 +331,7 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     left = ex.artifact(args.left)
     right = ex.artifact(args.right)
     merged = amalgamate(left, right, name=args.name)
-    p = compile_model(merged.result)
+    p = compile_model(ex.require_bounded(merged.result))
     gs = global_sections(p)
     emergent = emergent_sections(merged, left, right)
     overlap = overlap_union_report(left, right)
@@ -372,7 +377,7 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
         raise MalformedInputError(f"unknown identification {args.identification!r}")
     source = ex.artifact(args.source)
     model, skipped = transfer(decl.ident, source, name=args.name)
-    p = compile_model(model)
+    p = compile_model(ex.require_bounded(model))
     gs = global_sections(p)
     out.text(f"transfer {model.name} = {decl.ident.name} of {args.source}")
     for scope in skipped:
@@ -389,7 +394,8 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
     )
     code = EXIT_OK
     if decl.target_name in ex.artifacts:
-        report = analogy_check(decl.ident, source, ex.artifact(decl.target_name))
+        target = ex.require_bounded(ex.artifact(decl.target_name))
+        report = analogy_check(decl.ident, source, target)
         out.payload["analogy"] = {
             "target": decl.target_name,
             "passed": report.passed,

@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
-Operations distinguish three failure kinds: bad inputs (caller error),
-broken invariants discovered on data we were handed, and explicit refusals
-when an exhaustive computation would exceed its configured bound.  Law
-violations are *not* exceptions; they come back as report data.
+Operations distinguish two failure kinds: bad inputs (caller error) and
+explicit refusals when an exhaustive computation would exceed its
+configured bound.  Law violations are *not* exceptions; they come back as
+report data.
 """
 
 
@@ -13,10 +13,6 @@ class PreshError(Exception):
 
 class MalformedInputError(PreshError):
     """An argument violates an operation's precondition."""
-
-
-class InvariantViolationError(PreshError):
-    """A value handed to us does not satisfy its own stated invariants."""
 
 
 class EnumerationBoundError(PreshError):

@@ -5,9 +5,10 @@ everything else lives over is a *cover family*: a collection of feature
 subsets ordered by inclusion, required to contain the empty set, every
 singleton, and the whole universe, and to be closed under pairwise
 intersection and union.  Those requirements together force the family to be
-the full power set of its universe, so :func:`close_family` materializes
-exactly that; the saturation view (close seeds under meet/join until a fixed
-point) is kept as an independent oracle in the test suite.
+the full power set of its universe, so a :class:`CoverFamily` is given by its
+universe alone: objects, inclusions and Hasse covers are generated from it,
+never stored or validated.  The saturation view (close seeds under meet/join
+until a fixed point) is kept as an independent oracle in the test suite.
 
 Canonical orders used throughout the package:
 
@@ -26,7 +27,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import EnumerationBoundError, InvariantViolationError, MalformedInputError
+from .errors import EnumerationBoundError, MalformedInputError
 from .report import LawReport, Violation
 
 #: Valid feature (and value, and model) name.
@@ -124,36 +125,50 @@ class InclusionArrow:
         return InclusionArrow(obj, obj)
 
 
+def _shortlex(names: tuple[str, ...]) -> Iterator[Subset]:
+    """Every subset of the sorted ``names``, in shortlex order."""
+    for k in range(len(names) + 1):
+        for combo in combinations(names, k):
+            yield Subset(combo)
+
+
 @dataclass(frozen=True)
 class CoverFamily:
-    """The subset lattice a presheaf is indexed by.
+    """The subset lattice a presheaf is indexed by: every subset of ``universe``.
 
-    Construct through :func:`close_family` or :func:`restrict_family`, which
-    guarantee the invariants; the raw constructor performs no validation so
-    that deliberately broken families can be built for law-check tests.
+    Construct through :func:`close_family` to get the size bound.
     """
 
     universe: Subset
-    objects: frozenset[Subset]
 
     @cached_property
     def objects_sorted(self) -> tuple[Subset, ...]:
-        return tuple(sorted(self.objects, key=Subset.key))
+        return tuple(_shortlex(self.universe.names))
+
+    @cached_property
+    def objects(self) -> frozenset[Subset]:
+        return frozenset(self.objects_sorted)
 
     def __contains__(self, obj: object) -> bool:
-        return obj in self.objects
+        return isinstance(obj, Subset) and obj.issubset(self.universe)
 
     def require(self, obj: Subset) -> Subset:
-        if obj not in self.objects:
+        if obj not in self:
             raise MalformedInputError(f"{obj} is not an object of the family")
         return obj
 
     def inclusions(self) -> Iterator[tuple[Subset, Subset]]:
         """All ordered pairs (U, V) with U ⊆ V, canonically ordered."""
         for v in self.objects_sorted:
-            for u in self.objects_sorted:
-                if u.issubset(v):
-                    yield (u, v)
+            for u in _shortlex(v.names):
+                yield (u, v)
+
+    def covers(self) -> Iterator[tuple[Subset, Subset]]:
+        """Hasse edges (U, V): V minus one feature, each V's drops in shortlex order."""
+        for v in self.objects_sorted:
+            names = v.names
+            for i in range(len(names) - 1, -1, -1):
+                yield (Subset(names[:i] + names[i + 1 :]), v)
 
     def arrows(self) -> Iterator[InclusionArrow]:
         for u, v in self.inclusions():
@@ -163,73 +178,23 @@ class CoverFamily:
         return tuple(v for v in self.objects_sorted if obj.issubset(v))
 
 
-def _power_set(universe: Subset) -> frozenset[Subset]:
-    names = universe.names
-    out = []
-    for k in range(len(names) + 1):
-        for combo in combinations(names, k):
-            out.append(Subset(combo))
-    return frozenset(out)
-
-
 def close_family(
-    universe: Subset,
-    seeds: Iterable[Subset] = (),
-    *,
-    max_universe: int = LATTICE_SIZE_BOUND,
+    universe: Subset, *, max_universe: int = LATTICE_SIZE_BOUND
 ) -> CoverFamily:
-    """Smallest family over ``universe`` containing ``seeds``.
+    """The family over ``universe``, refused above ``max_universe`` features.
 
     Every family must hold the empty set, all singletons, and the universe,
     and be closed under pairwise meet and join; union-closure over the
     singletons then already yields every subset, so the result is always the
-    full power set and the seeds only get membership-checked.  Idempotent by
-    construction.
+    full power set.
     """
-    for seed in seeds:
-        for name in seed:
-            if name not in universe:
-                raise MalformedInputError(
-                    f"seed {seed} not contained in universe: unknown feature {name!r}"
-                )
     if len(universe) > max_universe:
         raise EnumerationBoundError(
             f"family over {len(universe)} features refused",
             required=2 ** len(universe),
             bound=2**max_universe,
         )
-    return CoverFamily(universe=universe, objects=_power_set(universe))
-
-
-def validate_family(family: CoverFamily) -> LawReport:
-    """Check the cover-family invariants, reporting every violation."""
-    violations: list[Violation] = []
-    objs = family.objects
-    if Subset() not in objs:
-        violations.append(Violation("family-empty", "empty subset missing"))
-    if family.universe not in objs:
-        violations.append(Violation("family-top", "universe missing"))
-    for name in family.universe:
-        if Subset([name]) not in objs:
-            violations.append(
-                Violation("family-singleton", f"singleton {{{name}}} missing", (name,))
-            )
-    for obj in objs:
-        if not obj.issubset(family.universe):
-            violations.append(
-                Violation("family-bounds", f"{obj} exceeds the universe", (obj,))
-            )
-    for u in objs:
-        for v in objs:
-            if u.intersection(v) not in objs:
-                violations.append(
-                    Violation("family-meet-closure", f"{u} ∩ {v} missing", (u, v))
-                )
-            if u.union(v) not in objs:
-                violations.append(
-                    Violation("family-join-closure", f"{u} ∪ {v} missing", (u, v))
-                )
-    return LawReport(tuple(violations))
+    return CoverFamily(universe)
 
 
 def meet(family: CoverFamily, u: Subset, v: Subset) -> Subset:
@@ -250,16 +215,7 @@ def restrict_family(family: CoverFamily, s0: Subset) -> CoverFamily:
     """The family of all objects contained in ``s0``."""
     if not s0.issubset(family.universe):
         raise MalformedInputError(f"{s0} is not a subset of the universe")
-    restricted = CoverFamily(
-        universe=s0, objects=frozenset(u for u in family.objects if u.issubset(s0))
-    )
-    report = validate_family(restricted)
-    if not report.passed:
-        raise InvariantViolationError(
-            "restriction produced an invalid family; the input family was "
-            f"already broken: {report.violations[0]}"
-        )
-    return restricted
+    return CoverFamily(s0)
 
 
 def is_subobject(u: Subset, v: Subset) -> bool:
@@ -307,10 +263,10 @@ def check_adjunction_triple(
             bound=4**max_size,
         )
     pad = s2.difference(s1)
+    outer = tuple(_shortlex(s2.names))
     violations: list[Violation] = []
-    for u_names in _power_set(s1):
-        u = u_names
-        for v in _power_set(s2):
+    for u in _shortlex(s1.names):
+        for v in outer:
             if (u.issubset(v)) != (u.issubset(v.intersection(s1))):
                 violations.append(
                     Violation(

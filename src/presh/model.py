@@ -151,9 +151,9 @@ class Model:
 
 
 def family_of(model: Model, *, max_universe: int = LATTICE_SIZE_BOUND) -> CoverFamily:
-    """The model's cover family: seeds plus every table scope, closed."""
-    seeds = set(model.cover_seeds) | {t.scope for t in model.tables}
-    return close_family(model.features, seeds, max_universe=max_universe)
+    """The model's cover family: every subset of its features (``Model``
+    already rejects seeds and scopes outside them)."""
+    return close_family(model.features, max_universe=max_universe)
 
 
 def _table_mask(table: ConstraintTable, fibers: Mapping[str, Fiber]) -> bytes:

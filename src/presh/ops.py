@@ -340,7 +340,7 @@ def diff_presheaves(
     key = lambda a: (a.domain.key(), a.values)  # noqa: E731
     per_object: dict[Subset, ObjectDiff] = {}
     for u in p_left.family.objects_sorted:
-        if u not in p_right.family.objects:
+        if u not in p_right.family:
             continue
         a = set(p_left.sections[u])
         b = set(p_right.sections[u])

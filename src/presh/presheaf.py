@@ -259,7 +259,7 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     # Closure along the cover pairs of the family poset implies closure along
     # every inclusion (projections compose), so checking covers is a complete
     # violation detector and pinpoints the minimal broken step.
-    for u, v in _cover_pairs(p.family):
+    for u, v in p.family.covers():
         if not p.sections[v]:
             continue
         at_u = tuple_sets[u]
@@ -283,28 +283,6 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
                     )
                 )
     return LawReport(tuple(violations))
-
-
-def _cover_pairs(family) -> list[tuple[Subset, Subset]]:
-    objs = family.objects_sorted
-    if len(objs) == 2 ** len(family.universe):
-        # full power set: covers are exactly the single-feature drops
-        out = []
-        for v in objs:
-            names = v.names
-            for i in range(len(names)):
-                out.append((Subset(names[:i] + names[i + 1 :]), v))
-        return out
-    out = []
-    for u, v in family.inclusions():
-        if u == v:
-            continue
-        if any(
-            w != u and w != v and u.issubset(w) and w.issubset(v) for w in objs
-        ):
-            continue
-        out.append((u, v))
-    return out
 
 
 def _validate_abstract(p: AbstractPresheaf) -> LawReport:
@@ -472,7 +450,7 @@ def representable(family: CoverFamily, c: Subset) -> AbstractPresheaf:
 
 
 def _same_family(f: AbstractPresheaf, g: AbstractPresheaf) -> None:
-    if f.family.universe != g.family.universe or f.family.objects != g.family.objects:
+    if f.family != g.family:
         raise MalformedInputError("presheaves live over different families")
 
 

@@ -13,7 +13,9 @@ from .presheaf import AssignmentPresheaf, global_sections
 
 
 def _covers(objects: tuple[Subset, ...]) -> list[tuple[Subset, Subset]]:
-    """Hasse edges: u -> v when u ⊂ v with nothing strictly between."""
+    """Hasse edges of an arbitrary subset poset: u -> v when u ⊂ v with
+    nothing strictly between.  Only the workspace graph needs this; a cover
+    family generates its own edges with :meth:`CoverFamily.covers`."""
     edges = []
     for v in objects:
         for u in objects:
@@ -31,11 +33,10 @@ def dot_cover_family(p: AssignmentPresheaf, name: str) -> str:
     """Hasse diagram of the cover family, one node per object with its
     section count."""
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=box];']
-    objs = p.family.objects_sorted
-    for u in objs:
+    for u in p.family.objects_sorted:
         label = str(u) if len(u) else "{}"
         lines.append(f'  "{label}" [label="{label}\\n{len(p.sections[u])}"];')
-    for u, v in _covers(objs):
+    for u, v in p.family.covers():
         lu = str(u) if len(u) else "{}"
         lines.append(f'  "{lu}" -> "{v}";')
     lines.append("}")

@@ -60,6 +60,51 @@ class TestExitCodes:
         assert code == 3
         assert "refused" in err
 
+    @pytest.mark.parametrize(
+        "command, model",
+        [
+            (["sections", "PC"], "PC"),
+            (["extend", "Camcorder", "film=prof_and_amateur"], "Camcorder"),
+            (["merge", "PC", "Camcorder"], "PC_Camcorder"),
+            (["transfer", "AudioVideo", "IMovieHub"], "AudioVideo_IMovieHub"),
+            (["diff", "PC", "Camcorder"], "PC"),
+            (["render", "PC", "dot"], "PC"),
+            (["check", "--laws=closure"], "Camcorder"),
+            (["check", "--laws=analogy"], "ITunes"),
+        ],
+        ids=[
+            "sections", "extend", "merge", "transfer", "diff", "render",
+            "check-closure", "check-analogy",
+        ],
+    )
+    def test_every_command_honours_max_enum(
+        self, capsys, tmp_path, data_dir, command, model
+    ):
+        # the hub without its check line, so refusals come from the command
+        for name in ("pc.psh", "camcorder.psh", "itunes.psh"):
+            (tmp_path / name).write_text((data_dir / name).read_text())
+        hub = (data_dir / "digital_hub.pshw").read_text()
+        assert "check DigitalHub\n" in hub
+        ws = tmp_path / "hub.pshw"
+        ws.write_text(hub.replace("check DigitalHub\n", ""))
+        code, out, err = run(capsys, "--workspace", str(ws), "--max-enum", "2", *command)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"refused: presheaf of {model!r} refused")
+
+    def test_analogy_refuses_a_transfer_larger_than_its_target(self, capsys, tmp_path):
+        ws = tmp_path / "w.pshw"
+        ws.write_text(
+            "model A\nfeature f: a | b\n"
+            "model B\nfeature g: a\n"
+            "identify h: B -> A {\n  feature g -> f {\n    a -> a\n    b -> b\n  }\n}\n"
+        )
+        code, _, err = run(
+            capsys, "--workspace", str(ws), "--max-enum", "2", "check", "--laws=analogy"
+        )
+        assert code == 3
+        assert err.startswith("refused: presheaf of 'B' refused (required 3, bound 2)")
+
     def test_usage_error_is_2(self, capsys, hub_path):
         code, _, _ = run(capsys, "--workspace", hub_path, "nonsense")
         assert code == 2

@@ -99,6 +99,12 @@ class TestErrorSpans:
         assert spans(err.value) == (4, 15)
         assert err.value.expected == "2 values"
 
+    def test_cover_seed_names_unknown_feature(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("model m\nfeature a: x\ncover: {a,z}\n")
+        assert spans(err.value) == (3, 11)
+        assert "unknown feature 'z'" in err.value.message
+
     def test_duplicate_feature(self):
         with pytest.raises(ParseError) as err:
             parse_model("model m\nfeature a: x\nfeature a: y\n")

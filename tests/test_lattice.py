@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presh.errors import (
-    EnumerationBoundError,
-    InvariantViolationError,
-    MalformedInputError,
-)
+from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import (
-    CoverFamily,
     InclusionArrow,
     Subset,
     check_adjunction_triple,
@@ -21,10 +16,9 @@ from presh.lattice import (
     meet,
     restrict_family,
     restriction_functor_r,
-    validate_family,
 )
 
-from util import full_power_set, saturation_close
+from util import brute_force_covers, full_power_set, saturation_close
 
 
 def S(*names):
@@ -57,11 +51,12 @@ class TestCloseFamily:
         assert fam.objects == {S(), S("a"), S("b"), S("a", "b")}
 
     def test_closure_step_members_present(self):
-        fam = close_family(S("a", "b", "c"), [S("a", "b"), S("b", "c")])
-        assert S("b") in fam.objects  # the meet of the seeds
+        fam = close_family(S("a", "b", "c"))
+        assert S("b") in fam.objects  # the meet of {a,b} and {b,c}
         assert S("a", "b", "c") in fam.objects  # their join
 
     def test_matches_saturation_oracle(self):
+        # seeds never add objects: saturating any of them gives the family
         rng = random.Random(4)
         universe = S("a", "b", "c", "d", "e")
         for _ in range(25):
@@ -69,17 +64,12 @@ class TestCloseFamily:
                 Subset(rng.sample(universe.names, rng.randint(0, 5)))
                 for _ in range(rng.randint(0, 4))
             ]
-            fam = close_family(universe, seeds)
-            assert fam.objects == saturation_close(universe, seeds)
+            assert close_family(universe).objects == saturation_close(universe, seeds)
 
     def test_idempotent(self):
-        fam = close_family(S("a", "b", "c"), [S("a", "c")])
-        again = close_family(fam.universe, fam.objects)
-        assert again.objects == fam.objects
-
-    def test_seed_outside_universe_names_feature(self):
-        with pytest.raises(MalformedInputError, match="'z'"):
-            close_family(S("a", "b"), [S("a", "z")])
+        # saturating the family's own objects adds nothing
+        fam = close_family(S("a", "b", "c"))
+        assert saturation_close(fam.universe, fam.objects) == fam.objects
 
     def test_size_refusal(self):
         big = Subset(f"f{i}" for i in range(13))
@@ -87,8 +77,42 @@ class TestCloseFamily:
             close_family(big)
 
     def test_invariants_hold(self):
-        fam = close_family(S("a", "b", "c"))
-        assert validate_family(fam).passed
+        universe = S("a", "b", "c")
+        objs = close_family(universe).objects
+        assert S() in objs and universe in objs
+        assert all(S(n) in objs for n in universe)
+        for u in objs:
+            assert u.issubset(universe)
+            for v in objs:
+                assert u.intersection(v) in objs and u.union(v) in objs
+
+    def test_objects_sorted_is_shortlex(self):
+        for n in range(6):
+            fam = close_family(Subset(f"f{i}" for i in range(n)))
+            assert fam.objects_sorted == tuple(sorted(fam.objects, key=Subset.key))
+            assert len(fam.objects_sorted) == 2**n
+
+    def test_membership_is_containment(self):
+        fam = close_family(S("a", "b"))
+        assert S("a") in fam and S() in fam and S("a", "b") in fam
+        assert S("z") not in fam and S("a", "z") not in fam
+        assert "a" not in fam
+        with pytest.raises(MalformedInputError):
+            fam.require(S("a", "z"))
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("n", range(6))
+    def test_covers_match_brute_force_hasse_filter(self, n):
+        fam = close_family(Subset(f"f{i}" for i in range(n)))
+        assert list(fam.covers()) == brute_force_covers(fam.objects_sorted)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_inclusions_match_all_pairs_filter(self, n):
+        fam = close_family(Subset(f"f{i}" for i in range(n)))
+        objs = fam.objects_sorted
+        expected = [(u, v) for v in objs for u in objs if u.issubset(v)]
+        assert list(fam.inclusions()) == expected
 
 
 class TestMeetJoin:
@@ -155,14 +179,6 @@ class TestRestrictFamily:
         fam = close_family(S("a"))
         with pytest.raises(MalformedInputError):
             restrict_family(fam, S("z"))
-
-    def test_broken_family_surfaces_invariant_violation(self):
-        universe = S("a", "b", "c")
-        broken = CoverFamily(
-            universe, frozenset(u for u in full_power_set(universe) if u != S("a"))
-        )
-        with pytest.raises(InvariantViolationError):
-            restrict_family(broken, S("a", "b"))
 
 
 class TestFunctorTriple:

@@ -117,6 +117,10 @@ class TestModelValue:
                 [ConstraintTable(S("b"), "allow", [("x",)])],
             )
 
+    def test_cover_seed_outside_universe_names_feature(self):
+        with pytest.raises(MalformedInputError, match="'z'"):
+            Model("m", [Fiber("a", ("x",))], cover_seeds=[S("a", "z")])
+
     def test_table_values_must_typecheck(self):
         with pytest.raises(MalformedInputError):
             Model(

@@ -37,6 +37,20 @@ def full_power_set(universe: Subset) -> frozenset[Subset]:
     return frozenset(out)
 
 
+def brute_force_covers(objects) -> list[tuple[Subset, Subset]]:
+    """Hasse edges (u, v) of a subset poset: u ⊂ v with nothing strictly
+    between, ordered by v and then u in the order ``objects`` lists them."""
+    edges = []
+    for v in objects:
+        for u in objects:
+            if u == v or not u.issubset(v):
+                continue
+            if any(w not in (u, v) and u.issubset(w) and w.issubset(v) for w in objects):
+                continue
+            edges.append((u, v))
+    return edges
+
+
 def one_step_projection_fixpoint(p: AssignmentPresheaf) -> dict[Subset, frozenset]:
     """Closure oracle: repeat single-step projection along direct inclusions
     until nothing changes."""
