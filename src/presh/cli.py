@@ -332,9 +332,11 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     right = ex.artifact(args.right)
     merged = amalgamate(left, right, name=args.name)
     p = compile_model(ex.require_bounded(merged.result))
+    # a source's estimate never exceeds the merged model's
+    p_left, p_right = ex.compiled(args.left), ex.compiled(args.right)
     gs = global_sections(p)
-    emergent = emergent_sections(merged, left, right)
-    overlap = overlap_union_report(left, right)
+    emergent = emergent_sections(p, p_left, p_right)
+    overlap = overlap_union_report(p, p_left, p_right)
     out.text(f"merge {merged.result.name} = {args.left} + {args.right}")
     for record in merged.shared:
         if record.reordered:

@@ -1,32 +1,48 @@
-"""Backend selection for the enumeration kernel.
+"""The enumeration kernel: extend the sections of a prefix object by one fiber.
 
-The compiled extension is preferred when present; set ``PRESH_BACKEND=python``
-to force the fallback (or ``PRESH_BACKEND=c`` to fail loudly if the extension
-is missing). Both backends implement the identical contract, including result
-order, so everything downstream is backend-agnostic.
+Every section at ``u = (f1..fk)`` restricts to a section at its prefix object
+``(f1..f(k-1))``, so :func:`presh.model.compile_model` builds each object's
+rows from its prefix object's rows with one call here.  Only the tables whose
+last scope feature is ``fk`` need checking: every other table that fits in
+``u`` lies inside the prefix object and already holds there.
 """
 
-import os
+from __future__ import annotations
 
-_requested = os.environ.get("PRESH_BACKEND", "auto")
+from typing import Callable, Hashable, Mapping, Sequence
 
-if _requested not in ("auto", "c", "python"):
-    raise ImportError(f"PRESH_BACKEND must be auto, c or python, not {_requested!r}")
+#: The one engine; the benchmark reports it with every run.
+BACKEND = "python"
 
-if _requested == "python":
-    from ._kernel_py import enumerate_assignments
+#: ``(key, admitted, default)``: ``key(row)`` reads a table's other scope
+#: features off a prefix row, and ``admitted.get(key(row), default)`` lists
+#: the values of the new feature the table admits there.
+Check = tuple[Callable[[tuple], Hashable], Mapping[Hashable, Sequence], Sequence]
 
-    BACKEND = "python"
-else:
-    try:
-        from ._kernel_c import enumerate_assignments  # type: ignore[no-redef]
 
-        BACKEND = "c"
-    except ImportError:
-        if _requested == "c":
-            raise
-        from ._kernel_py import enumerate_assignments  # type: ignore[no-redef]
+def enumerate_assignments(
+    prefix_rows: Sequence[tuple], values: Sequence, checks: Sequence[Check] = ()
+) -> list[tuple]:
+    """Every ``row + (v,)`` with ``row`` from ``prefix_rows`` and ``v`` from
+    ``values`` that every check admits.
 
-        BACKEND = "python"
+    Each check's admitted values are drawn from ``values`` in its order, so
+    rows come out prefix-row-major and then in ``values`` order: prefix rows
+    in lexicographic order give rows in lexicographic order.
+    """
+    if not checks:
+        return [row + (v,) for row in prefix_rows for v in values]
+    (key, admitted, default), *rest = checks
+    out: list[tuple] = []
+    append = out.append
+    for row in prefix_rows:
+        vals = admitted.get(key(row), default)
+        for other_key, other, other_default in rest:
+            allowed = other.get(other_key(row), other_default)
+            vals = [v for v in vals if v in allowed]
+        for v in vals:
+            append(row + (v,))
+    return out
+
 
 __all__ = ["enumerate_assignments", "BACKEND"]

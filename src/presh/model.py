@@ -7,12 +7,12 @@ object of the cover family, the assignments that satisfy every table whose
 scope fits inside the object.  Restriction closure holds by construction:
 any table applicable at a smaller object is applicable at every larger one.
 
-Two independent evaluation paths exist on purpose.  Compilation backtracks
-feature-by-feature with scope-indexed pruning (the hot loop lives in
-:mod:`presh.kernel`, compiled when available); :func:`oracle_sections`
-filters the naive full product per object with plain set membership and
-shares no code with the compiled path.  Their exact agreement is the main
-correctness property of the whole package.
+Two independent evaluation paths exist on purpose.  Compilation builds each
+object from its prefix object (the object minus its last feature), checking
+only the tables that end in that feature (the loop lives in
+:mod:`presh.kernel`); :func:`oracle_sections` filters the naive full product
+per object with plain set membership and shares no code with it.  Their
+exact agreement is the main correctness property of the whole package.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import kernel
@@ -36,7 +37,7 @@ from .presheaf import Assignment, AssignmentPresheaf, Fiber, unchecked_assignmen
 #: Refusal bound for the oracle's full product at a single object.
 ORACLE_PRODUCT_BOUND = 10**7
 
-#: Refusal bound for one table's admission-mask size (scope product).
+#: Refusal bound for one table's scope product (the value combinations it spans).
 TABLE_MASK_BOUND = 1 << 22
 
 ALLOW = "allow"
@@ -156,69 +157,63 @@ def family_of(model: Model, *, max_universe: int = LATTICE_SIZE_BOUND) -> CoverF
     return close_family(model.features, max_universe=max_universe)
 
 
-def _table_mask(table: ConstraintTable, fibers: Mapping[str, Fiber]) -> bytes:
-    """Admission mask over the scope's value-index space, row-major."""
-    sizes = [len(fibers[f].values) for f in table.scope.names]
+def _require_table_bound(table: ConstraintTable, fibers: Mapping[str, Fiber]) -> None:
+    """Refuse a table whose scope's value product exceeds ``TABLE_MASK_BOUND``."""
     space = 1
-    for s in sizes:
-        space *= s
+    for f in table.scope.names:
+        space *= len(fibers[f].values)
     if space > TABLE_MASK_BOUND:
         raise EnumerationBoundError(
             f"constraint mask over {table.scope} refused",
             required=space,
             bound=TABLE_MASK_BOUND,
         )
-    strides = [0] * len(sizes)
-    acc = 1
-    for i in range(len(sizes) - 1, -1, -1):
-        strides[i] = acc
-        acc *= sizes[i]
-    fill = 0 if table.polarity == ALLOW else 1
-    mask = bytearray([fill] * space)
-    for row in table.tuples:
-        idx = 0
-        ok = True
-        for f, v, stride in zip(table.scope.names, row, strides):
-            pos = fibers[f].index.get(v)
-            if pos is None:
-                ok = False
-                break
-            idx += stride * pos
-        if ok:
-            mask[idx] = 0 if table.polarity == FORBID else 1
-    return bytes(mask)
 
 
 class _CompiledModel:
-    """Per-model encoding shared across all family objects."""
+    """Per-model encoding of the tables, indexed by their last scope feature.
+
+    ``base[f]`` is the fiber of ``f`` cut down by the one-feature tables on
+    it.  ``by_last[f]`` holds, for each wider table whose last scope feature
+    is ``f``, the other scope features and a map from their values (a bare
+    value for one feature, a tuple for several, as ``itemgetter`` reads them)
+    to the admitted values of ``f``, in ``base[f]`` order.
+    """
 
     def __init__(self, model: Model):
-        self.model = model
-        self.order = tuple(sorted(model.fibers))  # canonical enumeration order
-        self.values = {f: model.fibers[f].values for f in self.order}
-        self.checks = []
+        fibers = model.fibers
+        self.base = {f: fib.values for f, fib in fibers.items()}
+        self.by_last: dict[str, list] = {f: [] for f in fibers}
+        # tables come in shortlex scope order: one-feature tables settle
+        # ``base`` before any wider table reads it
         for table in model.tables:
-            mask = _table_mask(table, model.fibers)
-            self.checks.append((table.scope, mask))
+            _require_table_bound(table, fibers)
+            *rest, last = table.scope.names
+            listed: dict = {}
+            for row in table.tuples:
+                key = row[0] if len(rest) == 1 else row[:-1]
+                listed.setdefault(key, set()).add(row[-1])
+            keep = table.polarity == ALLOW
+            base = self.base[last]
+            admitted = {
+                k: tuple(v for v in base if (v in s) == keep) for k, s in listed.items()
+            }
+            default = () if keep else base
+            if rest:
+                self.by_last[last].append((tuple(rest), admitted, default))
+            else:
+                self.base[last] = admitted.get((), default)
 
-    def sections_at(self, u: Subset) -> tuple[Assignment, ...]:
-        names = u.names  # sorted, hence ascending slot order
-        local = {f: i for i, f in enumerate(names)}
-        sizes = [len(self.values[f]) for f in names]
-        per_step: list[list] = [[] for _ in names]
-        for scope, mask in self.checks:
-            if not scope.issubset(u):
-                continue
-            positions = tuple(local[f] for f in scope.names)
-            strides = [0] * len(positions)
-            acc = 1
-            for i in range(len(positions) - 1, -1, -1):
-                strides[i] = acc
-                acc *= len(self.values[scope.names[i]])
-            per_step[max(positions)].append((positions, tuple(strides), mask))
-        decoders = [self.values[f] for f in names]
-        rows = kernel.enumerate_assignments(sizes, per_step, decoders)
-        return unchecked_assignments(u, rows)
+    def extend(self, prefix_rows: list[tuple], names: tuple[str, ...]) -> list[tuple]:
+        """The rows at the object ``names``, from the rows at ``names[:-1]``."""
+        last = names[-1]
+        slot = {f: i for i, f in enumerate(names)}
+        checks = [
+            (itemgetter(*(slot[f] for f in rest)), admitted, default)
+            for rest, admitted, default in self.by_last[last]
+            if all(f in slot for f in rest)
+        ]
+        return kernel.enumerate_assignments(prefix_rows, self.base[last], checks)
 
 
 def compile_model(
@@ -228,10 +223,17 @@ def compile_model(
 
     Every family object gets the assignments satisfying all tables whose
     scope it contains; empty section sets are valid data, not errors.
+    Objects are built in shortlex order, each from its prefix object.
     """
     family = family_of(model, max_universe=max_universe)
     enc = _CompiledModel(model)
-    sections = {u: enc.sections_at(u) for u in family.objects_sorted}
+    rows: dict[tuple[str, ...], list[tuple]] = {(): [()]}
+    sections = {}
+    for u in family.objects_sorted:
+        names = u.names
+        if names:
+            rows[names] = enc.extend(rows[names[:-1]], names)
+        sections[u] = unchecked_assignments(u, rows[names])
     return AssignmentPresheaf(family, dict(model.fibers), sections)
 
 

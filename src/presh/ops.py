@@ -305,19 +305,19 @@ def amalgamate(left: Model, right: Model, *, name: str | None = None) -> MergedM
     return MergedModel(result, tuple(shared), tuple(imported))
 
 
-def overlap_union_report(left: Model, right: Model) -> DiffReport:
+def overlap_union_report(
+    p_merged: AssignmentPresheaf,
+    p_left: AssignmentPresheaf,
+    p_right: AssignmentPresheaf,
+) -> DiffReport:
     """Compare the literal section union with the amalgam on the overlap.
 
     For every object inside the shared feature set, the union of the two
-    source section sets is matched against the amalgamated presheaf; entries
-    only on the right are cross-combinations the merge admits even though
-    neither source listed them.
+    compiled sources' section sets is matched against the compiled
+    amalgam; entries only on the right are cross-combinations the merge
+    admits even though neither source listed them.
     """
-    merged = amalgamate(left, right)
-    p_left = compile_model(left)
-    p_right = compile_model(right)
-    p_merged = compile_model(merged.result)
-    overlap = left.features.intersection(right.features)
+    overlap = p_left.family.universe.intersection(p_right.family.universe)
     key = lambda a: (a.domain.key(), a.values)  # noqa: E731 - local ordering only
     per_object: dict[Subset, ObjectDiff] = {}
     for u in p_merged.family.objects_sorted:
@@ -353,18 +353,19 @@ def diff_presheaves(
 
 
 def emergent_sections(
-    merged: MergedModel, left: Model, right: Model
+    p_merged: AssignmentPresheaf,
+    p_left: AssignmentPresheaf,
+    p_right: AssignmentPresheaf,
 ) -> tuple[Assignment, ...]:
-    """Global sections of the merge that are new with respect to a source.
+    """Global sections of the compiled merge that are new with respect to a
+    compiled source.
 
     A merged global section is emergent when its restriction to at least one
     source's feature set is not among that source's compiled sections there.
     Merging a model with itself therefore yields nothing.
     """
-    p_merged = compile_model(merged.result)
     source_tops = []
-    for source in (left, right):
-        p = compile_model(source)
+    for p in (p_left, p_right):
         top = p.family.universe
         source_tops.append((top, frozenset(p.sections[top])))
     emergent = []

@@ -98,7 +98,8 @@ def test_criterion_03_imovie_amalgamation(pc_model, camcorder_model):
         )
         p = compile_model(merged.result)
         assert target in set(global_sections(p))
-        assert target in emergent_sections(merged, pc_model, camcorder_model)
+        p_sources = compile_model(pc_model), compile_model(camcorder_model)
+        assert target in emergent_sections(p, *p_sources)
         assert target in oracle_sections(merged.result, merged.result.features)
         # within the unmerged camcorder the local section cannot extend
         cam = compile_model(camcorder_model)

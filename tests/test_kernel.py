@@ -1,19 +1,8 @@
 import random
 from itertools import product
+from operator import itemgetter
 
-import pytest
-
-from presh import _kernel_py
-from presh.kernel import BACKEND
-
-try:
-    from presh import _kernel_c
-except ImportError:
-    _kernel_c = None
-
-BACKENDS = [("python", _kernel_py)] + (
-    [("c", _kernel_c)] if _kernel_c is not None else []
-)
+from presh.kernel import enumerate_assignments
 
 
 def random_instance(seed):
@@ -52,47 +41,55 @@ def reference(sizes, checks):
     return out
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
+def prefix_check(sizes, positions, strides, mask):
+    """A mask check as a prefix-step check on its last position."""
+    *rest, last = positions
+    key = itemgetter(*rest) if rest else (lambda row: ())
+    admitted = {}
+    for combo in product(*(range(sizes[p]) for p in rest)):
+        base = sum(s * v for s, v in zip(strides, combo))
+        ok = tuple(v for v in range(sizes[last]) if mask[base + strides[-1] * v])
+        admitted[combo[0] if len(rest) == 1 else combo] = ok
+    return last, (key, admitted, ())
+
+
+def extend_slot_by_slot(sizes, checks):
+    by_last = [[] for _ in sizes]
+    for step in checks:
+        for positions, strides, mask in step:
+            last, check = prefix_check(sizes, positions, strides, mask)
+            by_last[last].append(check)
+    rows = [()]
+    for size, step in zip(sizes, by_last):
+        rows = enumerate_assignments(rows, tuple(range(size)), step)
+    return rows
+
+
 class TestKernelContract:
-    def test_matches_reference_filter(self, name, impl):
+    def test_matches_reference_filter(self):
         for seed in range(120):
             sizes, checks = random_instance(seed)
-            assert impl.enumerate_assignments(sizes, checks) == reference(
-                sizes, checks
-            ), seed
+            assert extend_slot_by_slot(sizes, checks) == reference(sizes, checks), seed
 
-    def test_emission_order_is_lexicographic(self, name, impl):
-        sizes = [2, 3]
-        got = impl.enumerate_assignments(sizes, [[], []])
+    def test_emission_order_is_lexicographic(self):
+        got = enumerate_assignments([(0,), (1,)], (0, 1, 2))
         assert got == [(i, j) for i in range(2) for j in range(3)]
 
-    def test_empty_slot_list(self, name, impl):
-        assert impl.enumerate_assignments([], []) == [()]
+    def test_values_keep_their_given_order(self):
+        got = enumerate_assignments([("a0",), ("a1",)], ("b1", "b0"))
+        assert got == [("a0", "b1"), ("a0", "b0"), ("a1", "b1"), ("a1", "b0")]
 
-    def test_zero_width_fiber_kills_everything(self, name, impl):
-        assert impl.enumerate_assignments([2, 0], [[], []]) == []
+    def test_empty_prefix_object(self):
+        assert enumerate_assignments([()], ("x", "y")) == [("x",), ("y",)]
 
+    def test_no_prefix_rows_give_no_rows(self):
+        assert enumerate_assignments([], ("x", "y")) == []
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_decoders_map_indices_to_tokens(name, impl):
-    sizes = [2, 2]
-    decoders = [("a0", "a1"), ("b0", "b1")]
-    got = impl.enumerate_assignments(sizes, [[], []], decoders)
-    assert got == [("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1")]
+    def test_zero_width_fiber_kills_everything(self):
+        assert enumerate_assignments([(0,), (1,)], ()) == []
 
-
-@pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-def test_backends_agree_everywhere():
-    for seed in range(200):
-        sizes, checks = random_instance(seed)
-        assert _kernel_c.enumerate_assignments(
-            sizes, checks
-        ) == _kernel_py.enumerate_assignments(sizes, checks), seed
-        decoders = [tuple(f"s{p}v{i}" for i in range(s)) for p, s in enumerate(sizes)]
-        assert _kernel_c.enumerate_assignments(
-            sizes, checks, decoders
-        ) == _kernel_py.enumerate_assignments(sizes, checks, decoders), seed
-
-
-def test_selected_backend_is_reported():
-    assert BACKEND in ("c", "python")
+    def test_checks_intersect_in_value_order(self):
+        first = (itemgetter(0), {0: (2, 1), 1: ()}, ())
+        second = (itemgetter(0), {0: (1,)}, (0, 1, 2))
+        got = enumerate_assignments([(0,), (1,)], (2, 1, 0), [first, second])
+        assert got == [(0, 1)]

@@ -74,6 +74,19 @@ class TestCompile:
         with pytest.raises(EnumerationBoundError):
             compile_model(m)
 
+    def test_table_mask_size_refusal(self):
+        wide = tuple(f"v{i}" for i in range(170))
+        m = Model(
+            "wide",
+            [Fiber(f, wide) for f in "abc"],
+            [ConstraintTable(S("a", "b", "c"), "forbid", [("v0", "v0", "v0")])],
+        )
+        with pytest.raises(EnumerationBoundError) as err:
+            compile_model(m)
+        assert str(err.value) == (
+            "constraint mask over {a,b,c} refused (required 4913000, bound 4194304)"
+        )
+
     def test_sections_emitted_in_fiber_order(self):
         m = Model("o", [Fiber("a", ("z", "y"))])
         p = compile_model(m)
@@ -146,7 +159,13 @@ class TestAgainstOracle:
             m = random_model(seed)
             p = compile_model(m)
             for u in p.family.objects_sorted:
-                assert set(p.sections[u]) == oracle_sections(m, u), (seed, u)
+                expected = oracle_sections(m, u)
+                assert set(p.sections[u]) == expected, (seed, u)
+                indices = [m.fibers[f].index for f in u.names]
+                ranked = sorted(
+                    expected, key=lambda a: [i[v] for i, v in zip(indices, a.values)]
+                )
+                assert list(p.sections[u]) == ranked, (seed, u)
 
     def test_scope_locality(self):
         m = random_model(5, max_features=3)

@@ -230,9 +230,22 @@ class TestAmalgamate:
         assert validate_laws(compile_model(merged.result)).passed
 
 
+def _compiled_merge(left, right):
+    merged = amalgamate(left, right)
+    return compile_model(merged.result), compile_model(left), compile_model(right)
+
+
+def _overlap(left, right):
+    return overlap_union_report(*_compiled_merge(left, right))
+
+
+def _emergent(left, right):
+    return emergent_sections(*_compiled_merge(left, right))
+
+
 class TestOverlapUnion:
     def test_singleton_overlap_is_the_fiber_union(self, pc_model, camcorder_model):
-        report = overlap_union_report(pc_model, camcorder_model)
+        report = _overlap(pc_model, camcorder_model)
         d = report.per_object[S("screen")]
         assert d.clean
         values = {a.value_of("screen") for a in d.common}
@@ -241,17 +254,17 @@ class TestOverlapUnion:
     def test_disjoint_models_have_trivial_overlap(self):
         left = Model("L", [Fiber("a", ("x",))])
         right = Model("R", [Fiber("b", ("y",))])
-        report = overlap_union_report(left, right)
+        report = _overlap(left, right)
         assert set(report.per_object) == {S()}
         assert report.is_empty
 
     def test_cross_combination_flagged(self, pc_model, camcorder_model):
-        report = overlap_union_report(pc_model, camcorder_model)
+        report = _overlap(pc_model, camcorder_model)
         extra = report.per_object[S("film", "screen")].only_in_right
         assert A(film="prof_and_amateur", screen="large") in extra
 
     def test_parts_partition_the_union(self, pc_model, camcorder_model):
-        report = overlap_union_report(pc_model, camcorder_model)
+        report = _overlap(pc_model, camcorder_model)
         for diff in report.per_object.values():
             parts = (
                 set(diff.only_in_left) | set(diff.only_in_right) | set(diff.common)
@@ -263,21 +276,19 @@ class TestOverlapUnion:
 
 class TestEmergent:
     def test_imovie_contains_the_quick_edit_section(self, pc_model, camcorder_model):
-        merged = amalgamate(pc_model, camcorder_model)
-        got = emergent_sections(merged, pc_model, camcorder_model)
+        got = _emergent(pc_model, camcorder_model)
         assert A(**IMOVIE_SECTION) in got
 
     def test_self_merge_has_no_emergent_sections(self, camcorder_model):
-        merged = amalgamate(camcorder_model, camcorder_model)
-        assert emergent_sections(merged, camcorder_model, camcorder_model) == ()
+        assert _emergent(camcorder_model, camcorder_model) == ()
 
     def test_emergent_sections_use_an_escaped_value(self, pc_model, camcorder_model):
-        merged = amalgamate(pc_model, camcorder_model)
+        emergent = _emergent(pc_model, camcorder_model)
         for source in (pc_model, camcorder_model):
             p = compile_model(source)
             top = p.family.universe
             secs = set(p.sections[top])
-            for s in emergent_sections(merged, pc_model, camcorder_model):
+            for s in emergent:
                 if restrict_assignment(s, top) in secs:
                     continue
                 escaped = [
