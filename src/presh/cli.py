@@ -76,7 +76,7 @@ class Execution:
     artifacts: dict[str, Model] = field(default_factory=dict)
     merges: dict[str, MergedModel] = field(default_factory=dict)
     transfer_skips: dict[str, tuple[Subset, ...]] = field(default_factory=dict)
-    _compiled: dict[str, AssignmentPresheaf] = field(default_factory=dict)
+    _compiled: dict[tuple, AssignmentPresheaf] = field(default_factory=dict)
 
     def artifact(self, name: str) -> Model:
         model = self.artifacts.get(name)
@@ -85,25 +85,26 @@ class Execution:
             raise MalformedInputError(f"unknown artifact {name!r} (defined: {known})")
         return model
 
-    def require_bounded(self, model: Model) -> Model:
-        """Refuse a model whose sections over all objects could exceed
-        ``max_enum``; call before anything compiles it."""
-        estimate = 1
-        for fib in model.fibers.values():
-            estimate *= 1 + len(fib.values)
-        if estimate > self.max_enum:
-            raise EnumerationBoundError(
-                f"presheaf of {model.name!r} refused",
-                required=estimate,
-                bound=self.max_enum,
-            )
-        return model
+    def compile(self, model: Model) -> AssignmentPresheaf:
+        """The compiled presheaf of ``model``, refused when its sections over
+        all objects could exceed ``max_enum``.
 
-    def compiled(self, name: str) -> AssignmentPresheaf:
-        if name not in self._compiled:
-            model = self.require_bounded(self.artifact(name))
-            self._compiled[name] = compile_model(model)
-        return self._compiled[name]
+        Each model content compiles once: sections depend on the fibers and
+        tables only, not on the name, the cover seeds or the labels.
+        """
+        key = (tuple(model.fibers.values()), model.tables)
+        if key not in self._compiled:
+            estimate = 1
+            for fib in model.fibers.values():
+                estimate *= 1 + len(fib.values)
+            if estimate > self.max_enum:
+                raise EnumerationBoundError(
+                    f"presheaf of {model.name!r} refused",
+                    required=estimate,
+                    bound=self.max_enum,
+                )
+            self._compiled[key] = compile_model(model)
+        return self._compiled[key]
 
 
 def execute(workspace: Workspace, *, max_enum: int) -> Execution:
@@ -126,7 +127,7 @@ def execute(workspace: Workspace, *, max_enum: int) -> Execution:
             ex.artifacts[directive.result] = model
             ex.transfer_skips[directive.result] = skipped
         elif isinstance(directive, CheckDirective):
-            report = validate_laws(ex.compiled(directive.target))
+            report = validate_laws(ex.compile(ex.artifact(directive.target)))
             if not report.passed:
                 raise _CheckFailed(
                     [f"check {directive.target}: FAIL"]
@@ -223,7 +224,7 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
         violations: list[str] = []
         if suite == "closure":
             for name in sorted(ex.artifacts):
-                report = validate_laws(ex.compiled(name))
+                report = validate_laws(ex.compile(ex.artifact(name)))
                 violations.extend(f"{name}: {v}" for v in report.violations)
         elif suite == "adjunction":
             universe = Subset([f"a{i}" for i in range(5)])
@@ -248,11 +249,11 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
             for decl in ex.workspace.identifications.values():
                 if decl.target_name not in ex.artifacts:
                     continue
-                target = ex.require_bounded(ex.artifact(decl.target_name))
-                # analogy_check also compiles the transfer, over the
-                # identification's own fibers
-                ex.require_bounded(Model(target.name, decl.ident.target_fibers()))
-                report = analogy_check(decl.ident, ex.artifact(decl.source_name), target)
+                p_target = ex.compile(ex.artifact(decl.target_name))
+                transferred, _ = transfer(
+                    decl.ident, ex.artifact(decl.source_name), name=decl.target_name
+                )
+                report = analogy_check(ex.compile(transferred), p_target)
                 violations.extend(f"{decl.ident.name}: {v}" for v in report.violations)
         results[suite] = {"passed": not violations, "violations": violations}
         if violations:
@@ -268,7 +269,7 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
 
 def cmd_sections(ex: Execution, args, out: _Out) -> int:
     model = ex.artifact(args.model)
-    p = ex.compiled(args.model)
+    p = ex.compile(model)
     obj = (
         _parse_object_spec(args.object, model)
         if args.object is not None
@@ -293,7 +294,7 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
 
 def cmd_extend(ex: Execution, args, out: _Out) -> int:
     model = ex.artifact(args.model)
-    p = ex.compiled(args.model)
+    p = ex.compile(model)
     a = _parse_assignment(args.assignment, model)
     target = (
         _parse_object_spec(args.target, model)
@@ -331,9 +332,8 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     left = ex.artifact(args.left)
     right = ex.artifact(args.right)
     merged = amalgamate(left, right, name=args.name)
-    p = compile_model(ex.require_bounded(merged.result))
-    # a source's estimate never exceeds the merged model's
-    p_left, p_right = ex.compiled(args.left), ex.compiled(args.right)
+    p = ex.compile(merged.result)
+    p_left, p_right = ex.compile(left), ex.compile(right)
     gs = global_sections(p)
     emergent = emergent_sections(p, p_left, p_right)
     overlap = overlap_union_report(p, p_left, p_right)
@@ -377,9 +377,8 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
     decl = ex.workspace.identifications.get(args.identification)
     if decl is None:
         raise MalformedInputError(f"unknown identification {args.identification!r}")
-    source = ex.artifact(args.source)
-    model, skipped = transfer(decl.ident, source, name=args.name)
-    p = compile_model(ex.require_bounded(model))
+    model, skipped = transfer(decl.ident, ex.artifact(args.source), name=args.name)
+    p = ex.compile(model)
     gs = global_sections(p)
     out.text(f"transfer {model.name} = {decl.ident.name} of {args.source}")
     for scope in skipped:
@@ -396,8 +395,7 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
     )
     code = EXIT_OK
     if decl.target_name in ex.artifacts:
-        target = ex.require_bounded(ex.artifact(decl.target_name))
-        report = analogy_check(decl.ident, source, target)
+        report = analogy_check(p, ex.compile(ex.artifact(decl.target_name)))
         out.payload["analogy"] = {
             "target": decl.target_name,
             "passed": report.passed,
@@ -416,7 +414,9 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
 
 
 def cmd_diff(ex: Execution, args, out: _Out) -> int:
-    diff = diff_presheaves(ex.compiled(args.left), ex.compiled(args.right))
+    diff = diff_presheaves(
+        ex.compile(ex.artifact(args.left)), ex.compile(ex.artifact(args.right))
+    )
     dirty = diff.dirty_objects()
     out.payload["objects"] = {
         str(u): {
@@ -445,10 +445,11 @@ def cmd_render(ex: Execution, args, out: _Out) -> int:
         text = render_mod.dot_workspace(ex.workspace, ex.artifacts)
     else:
         model = ex.artifact(args.artifact)
+        p = ex.compile(model)
         if args.render_format == "dot":
-            text = render_mod.dot_cover_family(ex.compiled(args.artifact), model.name)
+            text = render_mod.dot_cover_family(p, model.name)
         else:
-            text = render_mod.canvas(model, ex.compiled(args.artifact))
+            text = render_mod.canvas(model, p)
     out.payload["rendering"] = text
     out.lines.extend(text.rstrip("\n").split("\n"))
     return EXIT_OK

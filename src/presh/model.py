@@ -157,16 +157,15 @@ def family_of(model: Model, *, max_universe: int = LATTICE_SIZE_BOUND) -> CoverF
     return close_family(model.features, max_universe=max_universe)
 
 
-def _require_table_bound(table: ConstraintTable, fibers: Mapping[str, Fiber]) -> None:
-    """Refuse a table whose scope's value product exceeds ``TABLE_MASK_BOUND``."""
+def require_scope_bound(scope: Subset, fibers: Mapping[str, Fiber], what: str) -> None:
+    """Refuse a scope whose value product exceeds ``TABLE_MASK_BOUND``;
+    ``what`` names the table being built in the refusal."""
     space = 1
-    for f in table.scope.names:
+    for f in scope.names:
         space *= len(fibers[f].values)
     if space > TABLE_MASK_BOUND:
         raise EnumerationBoundError(
-            f"constraint mask over {table.scope} refused",
-            required=space,
-            bound=TABLE_MASK_BOUND,
+            f"{what} over {scope} refused", required=space, bound=TABLE_MASK_BOUND
         )
 
 
@@ -187,7 +186,7 @@ class _CompiledModel:
         # tables come in shortlex scope order: one-feature tables settle
         # ``base`` before any wider table reads it
         for table in model.tables:
-            _require_table_bound(table, fibers)
+            require_scope_bound(table.scope, fibers, "constraint mask")
             *rest, last = table.scope.names
             listed: dict = {}
             for row in table.tuples:

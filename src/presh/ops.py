@@ -20,16 +20,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .errors import EnumerationBoundError, MalformedInputError
+from .errors import MalformedInputError
 from .lattice import Subset, check_feature_name
-from .model import (
-    ALLOW,
-    FORBID,
-    TABLE_MASK_BOUND,
-    ConstraintTable,
-    Model,
-    compile_model,
-)
+from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
 from .presheaf import (
     Assignment,
     AssignmentPresheaf,
@@ -218,14 +211,8 @@ def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:
 # amalgamation
 
 
-def _scope_product(scope: Subset, fibers: Mapping[str, Fiber]):
-    space = 1
-    for f in scope.names:
-        space *= len(fibers[f].values)
-    if space > TABLE_MASK_BOUND:
-        raise EnumerationBoundError(
-            f"guarded import over {scope} refused", required=space, bound=TABLE_MASK_BOUND
-        )
+def _scope_product(scope: Subset, fibers: Mapping[str, Fiber], what: str):
+    require_scope_bound(scope, fibers, what)
     return product(*(fibers[f].values for f in scope.names))
 
 
@@ -247,7 +234,7 @@ def _import_guarded(
         return table, False
     rows = []
     inside = [set(source_fibers[f].values) for f in table.scope.names]
-    for combo in _scope_product(table.scope, merged_fibers):
+    for combo in _scope_product(table.scope, merged_fibers, "guarded import"):
         escapes = any(v not in inside[i] for i, v in enumerate(combo))
         if escapes or combo in table.tuples:
             rows.append(combo)
@@ -416,7 +403,7 @@ def transfer(
         tgt_scope = Subset(preimage[f] for f in table.scope)
         src_positions = {f: i for i, f in enumerate(table.scope.names)}
         rows = []
-        for combo in _scope_product(tgt_scope, fibers):
+        for combo in _scope_product(tgt_scope, fibers, "transferred table"):
             image = [None] * len(table.scope)
             for t, tv in zip(tgt_scope.names, combo):
                 image[src_positions[h.feature_map[t]]] = h.value_maps[t][tv]
@@ -434,46 +421,46 @@ def transfer(
 
 
 def analogy_check(
-    h: FeatureIdentification, source: Model, target: Model
+    p_transfer: AssignmentPresheaf, p_target: AssignmentPresheaf
 ) -> LawReport:
-    """Does transferring ``source`` along ``h`` reproduce ``target`` exactly?
+    """Does a compiled transfer reproduce the compiled target exactly?
 
-    Compares the two compiled presheaves objectwise; any mismatch is listed
-    with its witness assignment, and a failed report means the claimed
-    analogy square does not commute.
+    ``p_transfer`` is the compiled ``transfer(h, source)``.  The two
+    presheaves are compared objectwise; any mismatch is listed with its
+    witness assignment, and a failed report means the claimed analogy
+    square does not commute.
     """
-    transferred, _ = transfer(h, source, name=target.name)
-    violations: list[Violation] = []
-    if transferred.features != target.features:
+    got_features = p_transfer.family.universe
+    want_features = p_target.family.universe
+    if got_features != want_features:
         return LawReport(
             (
                 Violation(
                     "analogy-feature-set",
-                    f"transferred features {transferred.features} vs "
-                    f"target {target.features}",
-                    (transferred.features, target.features),
+                    f"transferred features {got_features} vs target {want_features}",
+                    (got_features, want_features),
                 ),
             )
         )
-    for f, fib in transferred.fibers.items():
-        if set(fib.values) != set(target.fibers[f].values):
+    violations: list[Violation] = []
+    for f, fib in p_transfer.fibers.items():
+        want = p_target.fibers[f].values
+        if set(fib.values) != set(want):
             violations.append(
                 Violation(
                     "analogy-fibers",
-                    f"fiber of {f!r} differs: {fib.values} vs {target.fibers[f].values}",
+                    f"fiber of {f!r} differs: {fib.values} vs {want}",
                     (f,),
                 )
             )
-    p_t = compile_model(transferred)
-    p_m = compile_model(target)
-    for u in p_t.family.objects_sorted:
-        got = set(p_t.sections[u])
-        want = set(p_m.sections[u])
-        for a in sorted(want - got, key=lambda x: x.values):
+    diff = diff_presheaves(p_transfer, p_target)
+    for u in diff.dirty_objects():
+        d = diff.per_object[u]
+        for a in d.only_in_right:
             violations.append(
                 Violation("analogy-sections", f"{a} at {u} only in the target", (u, a))
             )
-        for a in sorted(got - want, key=lambda x: x.values):
+        for a in d.only_in_left:
             violations.append(
                 Violation(
                     "analogy-sections", f"{a} at {u} only in the transfer", (u, a)

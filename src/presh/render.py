@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .dsl import MergeDirective, TransferDirective, Workspace
 from .lattice import Subset
-from .model import Model, compile_model
+from .model import Model
 from .presheaf import AssignmentPresheaf, global_sections
 
 
@@ -77,12 +77,10 @@ def dot_workspace(ws: Workspace, artifacts: dict[str, Model]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def canvas(model: Model, p: AssignmentPresheaf | None = None) -> str:
-    """ASCII strategy canvas: features as columns, fiber values stacked per
-    column (highest declaration rank on top), one marker trail per global
-    section."""
-    if p is None:
-        p = compile_model(model)
+def canvas(model: Model, p: AssignmentPresheaf) -> str:
+    """ASCII strategy canvas of ``model`` and its compiled presheaf ``p``:
+    features as columns, fiber values stacked per column (highest
+    declaration rank on top), one marker trail per global section."""
     order = model.feature_order()
     sections = global_sections(p)
     marks: dict[tuple[str, str], list[str]] = {}

@@ -114,7 +114,8 @@ def test_criterion_04_itunes_transfer(hub, itunes_model):
         source = hub.artifact("IMovieHub")
         model, skipped = transfer(decl.ident, source, name="ITunes")
         assert skipped == ()
-        got = set(global_sections(compile_model(model)))
+        p = compile_model(model)
+        got = set(global_sections(p))
         assert (
             A(
                 music="music_usage_everywhere",
@@ -124,7 +125,7 @@ def test_criterion_04_itunes_transfer(hub, itunes_model):
             )
             in got
         )
-        assert analogy_check(decl.ident, source, itunes_model).passed
+        assert analogy_check(p, compile_model(itunes_model)).passed
 
 
 def test_criterion_05_oracle_equivalence(base_sweep):

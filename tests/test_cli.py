@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from presh import model as model_mod
 from presh.cli import main
 from presh.dsl import parse_model
 
@@ -104,6 +105,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert err.startswith("refused: presheaf of 'B' refused (required 3, bound 2)")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "--laws=analogy"], ["check", "--laws=closure"], ["transfer", "h", "A"]],
+        ids=["check-analogy", "check-closure", "transfer"],
+    )
+    def test_analogy_target_over_the_lattice_bound_is_refused(
+        self, capsys, tmp_path, command
+    ):
+        # the target does not match the transfer, but is compiled before
+        # the two are compared
+        ws = tmp_path / "w.pshw"
+        ws.write_text(
+            "model A\nfeature f: a\nmodel T\n"
+            + "".join(f"feature t{i}: a\n" for i in range(13))
+            + "identify h: T -> A {\n  feature g -> f {\n    a -> a\n  }\n}\n"
+        )
+        code, out, err = run(capsys, "--workspace", str(ws), *command)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: family over 13 features refused")
 
     def test_usage_error_is_2(self, capsys, hub_path):
         code, _, _ = run(capsys, "--workspace", hub_path, "nonsense")
@@ -363,3 +385,28 @@ class TestCheck:
         )
         assert code == 2
         assert "unknown law suite" in err
+
+
+def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):
+    keys = []
+    init = model_mod._CompiledModel.__init__
+
+    def recording_init(self, model):
+        keys.append((tuple(model.fibers.values()), model.tables))
+        init(self, model)
+
+    monkeypatch.setattr(model_mod._CompiledModel, "__init__", recording_init)
+    for command in (
+        ["check"],
+        ["sections", "DigitalHub"],
+        ["extend", "Camcorder", "film=prof_and_amateur"],
+        ["merge", "PC", "Camcorder"],
+        ["transfer", "AudioVideo", "IMovieHub"],
+        ["diff", "ITunes", "ITunesFromVideo"],
+        ["render", "DigitalHub", "canvas"],
+    ):
+        keys.clear()
+        code, _, _ = run(capsys, "--workspace", hub_path, *command)
+        assert code == 0, command
+        assert keys, command
+        assert len(keys) == len(set(keys)), command

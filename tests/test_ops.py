@@ -1,6 +1,6 @@
 import pytest
 
-from presh.errors import MalformedInputError
+from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset
 from presh.model import ConstraintTable, Model, compile_model, oracle_sections
 from presh.ops import (
@@ -317,7 +317,7 @@ class TestTransfer:
             assert set(left.sections[u]) == set(right.sections[u])
 
     def test_itunes_binding_appears(self, hub):
-        p = hub.compiled("ITunesFromVideo")
+        p = hub.compile(hub.artifact("ITunesFromVideo"))
         assert A(**ITUNES_SECTION) in set(global_sections(p))
 
     def test_unmapped_scope_skipped_and_reported(self, camcorder_model):
@@ -380,6 +380,27 @@ class TestTransfer:
             checked += 1
         assert checked == 25
 
+    def test_scope_refusals_name_the_operation(self):
+        wide = tuple(f"v{i}" for i in range(170))
+        xyz = S("x", "y", "z")
+        fibers = [Fiber(f, wide) for f in "xyz"]
+        h = FeatureIdentification(
+            "id", {f: f for f in "xyz"}, {f: {v: v for v in wide} for f in "xyz"}
+        )
+        source = Model("wide", fibers, [ConstraintTable(xyz, "forbid", [("v0",) * 3])])
+        with pytest.raises(EnumerationBoundError) as err:
+            transfer(h, source)
+        assert str(err.value) == (
+            "transferred table over {x,y,z} refused (required 4913000, bound 4194304)"
+        )
+        left = Model("L", fibers, [ConstraintTable(xyz, "allow", [("v0",) * 3])])
+        right = Model("R", [Fiber("x", ("w",))])
+        with pytest.raises(EnumerationBoundError) as err:
+            amalgamate(left, right)
+        assert str(err.value) == (
+            "guarded import over {x,y,z} refused (required 4941900, bound 4194304)"
+        )
+
     def test_mapped_feature_must_exist(self, camcorder_model):
         h = FeatureIdentification("bad", {"t": "nope"}, {"t": {"x": "y"}})
         with pytest.raises(MalformedInputError):
@@ -401,7 +422,8 @@ class TestAnalogyCheck:
             },
         )
         out, _ = transfer(h, camcorder_model)
-        assert analogy_check(h, camcorder_model, out).passed
+        pulled = pullback_presheaf(h, compile_model(camcorder_model))
+        assert analogy_check(compile_model(out), pulled).passed
 
     def test_extra_forbid_breaks_the_square(self, camcorder_model):
         h = FeatureIdentification(
@@ -421,20 +443,22 @@ class TestAnalogyCheck:
             list(out.tables) + [ConstraintTable(S("e"), "forbid", [("q",)])],
             out.cover_seeds,
         )
-        report = analogy_check(h, camcorder_model, stricter)
+        report = analogy_check(compile_model(out), compile_model(stricter))
         assert not report.passed
         assert any(v.law == "analogy-sections" for v in report.violations)
 
     def test_pinned_itunes_model_commutes(self, hub, itunes_model):
         h = hub.workspace.identifications["AudioVideo"].ident
-        report = analogy_check(h, hub.artifact("IMovieHub"), itunes_model)
+        transferred, _ = transfer(h, hub.artifact("IMovieHub"))
+        report = analogy_check(compile_model(transferred), compile_model(itunes_model))
         assert report.passed
 
     def test_feature_set_mismatch_reported(self, camcorder_model, org_model):
         h = FeatureIdentification(
             "h", {"e": "edit"}, {"e": {"q": "quick_and_easy_editing"}}
         )
-        report = analogy_check(h, camcorder_model, org_model)
+        transferred, _ = transfer(h, camcorder_model)
+        report = analogy_check(compile_model(transferred), compile_model(org_model))
         assert any(v.law == "analogy-feature-set" for v in report.violations)
 
 
