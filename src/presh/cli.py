@@ -213,6 +213,10 @@ class _Out:
 
 def cmd_check(ex: Execution, args, out: _Out) -> int:
     suites = tuple(s.strip() for s in args.laws.split(",") if s.strip())
+    if not suites:
+        raise MalformedInputError(
+            f"no law suite given (choose from {', '.join(ALL_SUITES)})"
+        )
     for s in suites:
         if s not in ALL_SUITES:
             raise MalformedInputError(
@@ -276,19 +280,19 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
         else p.family.universe
     )
     p.family.require(obj)
-    secs = p.sections[obj]
+    count = len(p.rows[obj])
+    secs = () if args.count else p.sections_at(obj)
     out.payload.update(
         {
             "model": args.model,
             "object": list(obj.names),
-            "count": len(secs),
+            "count": count,
             "sections": None if args.count else [_assignment_json(a) for a in secs],
         }
     )
-    out.text(f"sections of {args.model} at {obj}: {len(secs)}")
-    if not args.count:
-        for a in secs:
-            out.text(f"  {a}")
+    out.text(f"sections of {args.model} at {obj}: {count}")
+    for a in secs:
+        out.text(f"  {a}")
     return EXIT_OK
 
 

@@ -64,6 +64,14 @@ class Subset:
             check_feature_name(n)
         object.__setattr__(self, "names", ordered)
 
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...]) -> "Subset":
+        """A subset of ``names`` that are already sorted, distinct and valid
+        (drawn from other subsets); skips the sort and the name checks."""
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "names", names)
+        return subset
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
 
@@ -77,15 +85,15 @@ class Subset:
         return set(self.names) <= set(other.names)
 
     def union(self, other: "Subset") -> "Subset":
-        return Subset(self.names + other.names)
+        return Subset._trusted(tuple(sorted(set(self.names + other.names))))
 
     def intersection(self, other: "Subset") -> "Subset":
         mine = set(other.names)
-        return Subset(n for n in self.names if n in mine)
+        return Subset._trusted(tuple(n for n in self.names if n in mine))
 
     def difference(self, other: "Subset") -> "Subset":
         theirs = set(other.names)
-        return Subset(n for n in self.names if n not in theirs)
+        return Subset._trusted(tuple(n for n in self.names if n not in theirs))
 
     def key(self) -> tuple[int, tuple[str, ...]]:
         """Shortlex sort key."""
@@ -126,10 +134,10 @@ class InclusionArrow:
 
 
 def _shortlex(names: tuple[str, ...]) -> Iterator[Subset]:
-    """Every subset of the sorted ``names``, in shortlex order."""
+    """Every subset of the sorted, validated ``names``, in shortlex order."""
     for k in range(len(names) + 1):
         for combo in combinations(names, k):
-            yield Subset(combo)
+            yield Subset._trusted(combo)
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,7 @@ class CoverFamily:
         for v in self.objects_sorted:
             names = v.names
             for i in range(len(names) - 1, -1, -1):
-                yield (Subset(names[:i] + names[i + 1 :]), v)
+                yield (Subset._trusted(names[:i] + names[i + 1 :]), v)
 
     def arrows(self) -> Iterator[InclusionArrow]:
         for u, v in self.inclusions():

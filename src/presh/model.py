@@ -32,7 +32,7 @@ from .lattice import (
     check_feature_name,
     close_family,
 )
-from .presheaf import Assignment, AssignmentPresheaf, Fiber, unchecked_assignments
+from .presheaf import Assignment, AssignmentPresheaf, Fiber
 
 #: Refusal bound for the oracle's full product at a single object.
 ORACLE_PRODUCT_BOUND = 10**7
@@ -220,20 +220,20 @@ def compile_model(
 ) -> AssignmentPresheaf:
     """Compile a model into its assignment presheaf.
 
-    Every family object gets the assignments satisfying all tables whose
-    scope it contains; empty section sets are valid data, not errors.
+    Every family object gets the rows (value tuples) satisfying all tables
+    whose scope it contains; empty section sets are valid data, not errors.
     Objects are built in shortlex order, each from its prefix object.
     """
     family = family_of(model, max_universe=max_universe)
     enc = _CompiledModel(model)
-    rows: dict[tuple[str, ...], list[tuple]] = {(): [()]}
-    sections = {}
+    by_names: dict[tuple[str, ...], tuple[tuple, ...]] = {(): ((),)}
+    rows = {}
     for u in family.objects_sorted:
         names = u.names
         if names:
-            rows[names] = enc.extend(rows[names[:-1]], names)
-        sections[u] = unchecked_assignments(u, rows[names])
-    return AssignmentPresheaf(family, dict(model.fibers), sections)
+            by_names[names] = tuple(enc.extend(by_names[names[:-1]], names))
+        rows[u] = by_names[names]
+    return AssignmentPresheaf(family, dict(model.fibers), rows)
 
 
 def oracle_sections(

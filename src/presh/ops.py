@@ -23,13 +23,7 @@ from typing import Mapping
 from .errors import MalformedInputError
 from .lattice import Subset, check_feature_name
 from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
-from .presheaf import (
-    Assignment,
-    AssignmentPresheaf,
-    Fiber,
-    global_sections,
-    restrict_assignment,
-)
+from .presheaf import Assignment, AssignmentPresheaf, Fiber, decode, row_projection
 from .report import LawReport, Violation
 
 
@@ -107,7 +101,6 @@ class MergedModel:
 class ObjectDiff:
     only_in_left: tuple[Assignment, ...]
     only_in_right: tuple[Assignment, ...]
-    common: tuple[Assignment, ...]
 
     @property
     def clean(self) -> bool:
@@ -305,37 +298,28 @@ def overlap_union_report(
     admits even though neither source listed them.
     """
     overlap = p_left.family.universe.intersection(p_right.family.universe)
-    key = lambda a: (a.domain.key(), a.values)  # noqa: E731 - local ordering only
     per_object: dict[Subset, ObjectDiff] = {}
     for u in p_merged.family.objects_sorted:
         if not u.issubset(overlap):
             continue
-        literal = set(p_left.sections[u]) | set(p_right.sections[u])
-        amalgam = set(p_merged.sections[u])
-        per_object[u] = ObjectDiff(
-            tuple(sorted(literal - amalgam, key=key)),
-            tuple(sorted(amalgam - literal, key=key)),
-            tuple(sorted(literal & amalgam, key=key)),
-        )
+        literal = set(p_left.rows[u]).union(p_right.rows[u])
+        per_object[u] = _object_diff(u, literal, set(p_merged.rows[u]))
     return DiffReport(per_object)
+
+
+def _object_diff(u: Subset, left: set, right: set) -> ObjectDiff:
+    """The rows at ``u`` on one side only, decoded in value-token order."""
+    return ObjectDiff(decode(u, sorted(left - right)), decode(u, sorted(right - left)))
 
 
 def diff_presheaves(
     p_left: AssignmentPresheaf, p_right: AssignmentPresheaf
 ) -> DiffReport:
     """Objectwise section diff over the objects the two families share."""
-    key = lambda a: (a.domain.key(), a.values)  # noqa: E731
     per_object: dict[Subset, ObjectDiff] = {}
     for u in p_left.family.objects_sorted:
-        if u not in p_right.family:
-            continue
-        a = set(p_left.sections[u])
-        b = set(p_right.sections[u])
-        per_object[u] = ObjectDiff(
-            tuple(sorted(a - b, key=key)),
-            tuple(sorted(b - a, key=key)),
-            tuple(sorted(a & b, key=key)),
-        )
+        if u in p_right.family:
+            per_object[u] = _object_diff(u, set(p_left.rows[u]), set(p_right.rows[u]))
     return DiffReport(per_object)
 
 
@@ -351,15 +335,17 @@ def emergent_sections(
     source's feature set is not among that source's compiled sections there.
     Merging a model with itself therefore yields nothing.
     """
-    source_tops = []
-    for p in (p_left, p_right):
-        top = p.family.universe
-        source_tops.append((top, frozenset(p.sections[top])))
-    emergent = []
-    for s in global_sections(p_merged):
-        if any(restrict_assignment(s, top) not in secs for top, secs in source_tops):
-            emergent.append(s)
-    return tuple(emergent)
+    top = p_merged.family.universe
+    source_tops = [
+        (row_projection(top, p.family.universe), frozenset(p.rows[p.family.universe]))
+        for p in (p_left, p_right)
+    ]
+    emergent = [
+        row
+        for row in p_merged.rows[top]
+        if any(project(row) not in rows for project, rows in source_tops)
+    ]
+    return decode(top, emergent)
 
 
 # ---------------------------------------------------------------------------

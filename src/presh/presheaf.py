@@ -2,8 +2,10 @@
 
 Two carriers are provided.  :class:`AssignmentPresheaf` is the workhorse:
 each object of the family gets the set of feature-value assignments that are
-jointly admissible there, and restriction is projection of assignments onto
-a smaller feature set.  :class:`AbstractPresheaf` keeps elements opaque and
+jointly admissible there, stored as value tuples (rows) aligned with the
+object's sorted feature names, and restriction is projection of rows onto a
+smaller feature set.  :class:`Assignment` objects are decoded from rows only
+where a caller sees them.  :class:`AbstractPresheaf` keeps elements opaque and
 restriction maps explicit; it exists so that the representable presheaves,
 natural-transformation enumeration and the Yoneda bijection can be checked
 on arbitrary finite presheaves, not only assignment-shaped ones.
@@ -95,29 +97,33 @@ class Assignment:
             raise MalformedInputError(f"{feature!r} not in {self.domain}") from None
 
     def token(self) -> str:
-        if not self.domain.names:
-            return "()"
-        return ",".join(f"{f}={v}" for f, v in zip(self.domain.names, self.values))
+        return _token(self.domain.names, self.values)
 
     def __str__(self) -> str:
         return self.token()
 
 
-def unchecked_assignments(
-    domain: Subset, rows: Iterable[tuple[str, ...]]
-) -> tuple[Assignment, ...]:
-    """Bulk-build assignments from pre-validated rows (arity already matches
-    the domain); bypasses per-instance validation for the hot compile path."""
-    new = Assignment.__new__
-    out = []
-    append = out.append
-    for row in rows:
-        a = new(Assignment)
-        d = a.__dict__
-        d["domain"] = domain
-        d["values"] = row
-        append(a)
-    return tuple(out)
+def _token(names: tuple[str, ...], row: tuple[str, ...]) -> str:
+    if not names:
+        return "()"
+    return ",".join(f"{f}={v}" for f, v in zip(names, row))
+
+
+def decode(u: Subset, rows: Iterable[tuple[str, ...]]) -> tuple[Assignment, ...]:
+    """The assignments at ``u`` that ``rows`` (value tuples over ``u``) stand for."""
+    return tuple(Assignment(u, row) for row in rows)
+
+
+def row_projection(v: Subset, u: Subset) -> Callable[[tuple], tuple]:
+    """Restriction of rows at ``v`` to ``u`` (``u ⊆ v``): a map from each
+    value tuple over ``v`` to its value tuple over ``u``."""
+    positions = tuple(v.names.index(f) for f in u.names)
+    if len(positions) == 1:
+        (single,) = positions
+        return lambda row: (row[single],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 def restrict_assignment(a: Assignment, u: Subset) -> Assignment:
@@ -128,54 +134,58 @@ def restrict_assignment(a: Assignment, u: Subset) -> Assignment:
     return Assignment(u, tuple(lookup[f] for f in u.names))
 
 
-def assignment_sort_key(
-    fibers: Mapping[str, Fiber],
-) -> Callable[[Assignment], tuple]:
-    """Canonical assignment order: domain shortlex, then fiber value indices.
+def row_sort_key(
+    fibers: Mapping[str, Fiber], names: tuple[str, ...]
+) -> Callable[[tuple[str, ...]], tuple]:
+    """Canonical order of rows over ``names``: lexicographic in fiber value
+    indices.
 
     Values missing from their fiber (possible on hand-built data) sort after
     declared ones, by token.
     """
+    fibs = [fibers.get(f) for f in names]
 
-    def key(a: Assignment) -> tuple:
+    def key(row: tuple[str, ...]) -> tuple:
         ranks = []
-        for f, v in zip(a.domain.names, a.values):
-            fib = fibers.get(f)
+        for fib, v in zip(fibs, row):
             if fib is not None and v in fib.index:
                 ranks.append((fib.index[v], ""))
             else:
                 ranks.append((len(fib.values) if fib else 0, v))
-        return (a.domain.key(), tuple(ranks))
+        return tuple(ranks)
 
     return key
 
 
 @dataclass(frozen=True)
 class AssignmentPresheaf:
-    """Admissible feature-value combinations, one finite set per family object."""
+    """Admissible feature-value combinations, one finite set per family object.
+
+    ``rows[u]`` holds the sections at ``u`` as value tuples aligned with
+    ``u.names``, in canonical (:func:`row_sort_key`) order.
+    """
 
     family: CoverFamily
     fibers: Mapping[str, Fiber]
-    sections: Mapping[Subset, tuple[Assignment, ...]]
+    rows: Mapping[Subset, tuple[tuple[str, ...], ...]]
 
     def sections_at(self, u: Subset) -> tuple[Assignment, ...]:
         self.family.require(u)
-        return self.sections[u]
+        return decode(u, self.rows[u])
 
     def as_abstract(self) -> "AbstractPresheaf":
         """Forget the assignment structure: elements become opaque tokens and
         restrictions become the projection maps."""
         elements = {
-            u: tuple(a.token() for a in secs) for u, secs in self.sections.items()
-        }
-        by_token = {
-            u: {a.token(): a for a in secs} for u, secs in self.sections.items()
+            u: tuple(_token(u.names, row) for row in rows)
+            for u, rows in self.rows.items()
         }
         restrictions: dict[tuple[Subset, Subset], dict[str, str]] = {}
         for u, v in self.family.inclusions():
+            project = row_projection(v, u)
             restrictions[(u, v)] = {
-                tok: restrict_assignment(a, u).token()
-                for tok, a in by_token[v].items()
+                _token(v.names, row): _token(u.names, project(row))
+                for row in self.rows[v]
             }
         return AbstractPresheaf(self.family, elements, restrictions)
 
@@ -220,24 +230,18 @@ Presheaf = Union[AssignmentPresheaf, AbstractPresheaf]
 
 def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     violations: list[Violation] = []
-    # value tuples only in the hot loops; Assignment objects are built just
-    # for witnesses
+    # Assignment objects are built just for witnesses
     fiber_values = {f: set(fib.values) for f, fib in p.fibers.items()}
     tuple_sets: dict[Subset, frozenset[tuple[str, ...]]] = {}
     for u in p.family.objects_sorted:
-        secs = p.sections.get(u)
-        if secs is None:
+        stored = p.rows.get(u)
+        if stored is None:
             violations.append(Violation("sections-missing", f"no sections at {u}", (u,)))
             tuple_sets[u] = frozenset()
             continue
-        rows = frozenset(a.values for a in secs)
-        if len(rows) != len(secs):
+        rows = frozenset(stored)
+        if len(rows) != len(stored):
             violations.append(Violation("duplicate-section", f"repeated assignment at {u}", (u,)))
-        for a in secs:
-            if a.domain is not u and a.domain != u:
-                violations.append(
-                    Violation("domain-mismatch", f"{a} stored at {u}", (u, a))
-                )
         ulen = len(u.names)
         ragged = [row for row in rows if len(row) != ulen]
         for row in ragged:
@@ -260,21 +264,14 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     # every inclusion (projections compose), so checking covers is a complete
     # violation detector and pinpoints the minimal broken step.
     for u, v in p.family.covers():
-        if not p.sections[v]:
+        if not p.rows[v]:
             continue
         at_u = tuple_sets[u]
-        positions = tuple(v.names.index(f) for f in u.names)
-        if len(positions) == 0:
-            project = lambda row: ()  # noqa: E731
-        elif len(positions) == 1:
-            single = positions[0]
-            project = lambda row: (row[single],)  # noqa: E731
-        else:
-            project = itemgetter(*positions)
-        for b in p.sections[v]:
-            projected = project(b.values)
+        project = row_projection(v, u)
+        for row in p.rows[v]:
+            projected = project(row)
             if projected not in at_u:
-                witness = Assignment(u, projected)
+                b, witness = Assignment(v, row), Assignment(u, projected)
                 violations.append(
                     Violation(
                         "restriction-closure",
@@ -359,29 +356,27 @@ def validate_laws(p: Presheaf) -> LawReport:
 
 def closure_complete(
     p: AssignmentPresheaf,
-) -> tuple[AssignmentPresheaf, dict[Subset, tuple[Assignment, ...]]]:
+) -> tuple[AssignmentPresheaf, dict[Subset, tuple[tuple[str, ...], ...]]]:
     """Smallest superset presheaf satisfying restriction closure.
 
-    Adds the projection of every stored assignment to every smaller object.
-    Idempotent and monotone; the second return value lists what was added,
+    Adds the projection of every stored row to every smaller object.
+    Idempotent and monotone; the second return value lists the rows added,
     per object.
     """
-    key = assignment_sort_key(p.fibers)
-    sections = {u: set(secs) for u, secs in p.sections.items()}
+    rows = {u: set(stored) for u, stored in p.rows.items()}
     for u in p.family.objects_sorted:
-        sections.setdefault(u, set())
+        rows.setdefault(u, set())
     for v in sorted(p.family.objects_sorted, key=Subset.key, reverse=True):
         for u in p.family.objects_sorted:
             if u == v or not u.issubset(v):
                 continue
-            for b in sections[v]:
-                sections[u].add(restrict_assignment(b, u))
+            rows[u].update(map(row_projection(v, u), rows[v]))
     additions = {}
     closed = {}
     for u in p.family.objects_sorted:
-        before = set(p.sections.get(u, ()))
-        closed[u] = tuple(sorted(sections[u], key=key))
-        added = tuple(sorted(sections[u] - before, key=key))
+        key = row_sort_key(p.fibers, u.names)
+        closed[u] = tuple(sorted(rows[u], key=key))
+        added = tuple(sorted(rows[u].difference(p.rows.get(u, ())), key=key))
         if added:
             additions[u] = added
     return AssignmentPresheaf(p.family, dict(p.fibers), closed), additions
@@ -394,8 +389,15 @@ def global_sections(p: AssignmentPresheaf) -> tuple[Assignment, ...]:
 
 def _require_local_section(p: AssignmentPresheaf, a: Assignment) -> None:
     p.family.require(a.domain)
-    if a not in p.sections[a.domain]:
+    if a.values not in p.rows[a.domain]:
         raise MalformedInputError(f"{a} is not a local section at {a.domain}")
+
+
+def _extending_rows(
+    p: AssignmentPresheaf, a: Assignment, v: Subset
+) -> list[tuple[str, ...]]:
+    project = row_projection(v, a.domain)
+    return [row for row in p.rows[v] if project(row) == a.values]
 
 
 def extensions(
@@ -406,10 +408,7 @@ def extensions(
     p.family.require(v)
     if not a.domain.issubset(v):
         raise MalformedInputError(f"{a.domain} is not contained in {v}")
-    positions = [v.names.index(f) for f in a.domain.names]
-    return tuple(
-        b for b in p.sections[v] if tuple(b.values[i] for i in positions) == a.values
-    )
+    return decode(v, _extending_rows(p, a, v))
 
 
 def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
@@ -422,7 +421,7 @@ def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
     blocked = [
         w
         for w in p.family.supersets(a.domain)
-        if not extensions(p, a, w)
+        if not _extending_rows(p, a, w)
     ]
     minimal = [
         w
@@ -608,17 +607,17 @@ def pullback_presheaf(
     }
     fam = family or close_family(Subset(feature_map))
     mapping = {u: Subset(feature_map[t] for t in u) for u in fam.objects_sorted}
-    sections: dict[Subset, tuple[Assignment, ...]] = {}
+    rows: dict[Subset, tuple[tuple[str, ...], ...]] = {}
     for u in fam.objects_sorted:
         src_obj = q.family.require(mapping[u])
-        admitted = frozenset(q.sections[src_obj])
+        admitted = frozenset(q.rows[src_obj])
         out = []
         for combo in product(*(fibers[t].values for t in u.names)):
             image = {feature_map[t]: value_maps[t][val] for t, val in zip(u.names, combo)}
-            if Assignment.from_mapping(image) in admitted:
-                out.append(Assignment(u, combo))
-        sections[u] = tuple(out)
-    return AssignmentPresheaf(fam, fibers, sections)
+            if tuple(image[f] for f in src_obj.names) in admitted:
+                out.append(combo)
+        rows[u] = tuple(out)
+    return AssignmentPresheaf(fam, fibers, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +661,14 @@ def _random_product_presheaf(rng: random.Random, family: CoverFamily) -> Abstrac
         f: Fiber(f, tuple(f"v{i}" for i in range(rng.randint(1, 2))))
         for f in family.universe.names
     }
-    sections: dict[Subset, set[Assignment]] = {u: set() for u in family.objects_sorted}
-    for u in family.objects_sorted:
-        for combo in product(*(fibers[f].values for f in u.names)):
-            if rng.random() < 0.45:
-                sections[u].add(Assignment(u, combo))
-    key = assignment_sort_key(fibers)
-    sparse = AssignmentPresheaf(
-        family,
-        fibers,
-        {u: tuple(sorted(s, key=key)) for u, s in sections.items()},
-    )
+    rows = {
+        u: tuple(
+            combo
+            for combo in product(*(fibers[f].values for f in u.names))
+            if rng.random() < 0.45
+        )
+        for u in family.objects_sorted
+    }
+    sparse = AssignmentPresheaf(family, fibers, rows)
     closed, _ = closure_complete(sparse)
     return closed.as_abstract()

@@ -35,7 +35,7 @@ def dot_cover_family(p: AssignmentPresheaf, name: str) -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=box];']
     for u in p.family.objects_sorted:
         label = str(u) if len(u) else "{}"
-        lines.append(f'  "{label}" [label="{label}\\n{len(p.sections[u])}"];')
+        lines.append(f'  "{label}" [label="{label}\\n{len(p.rows[u])}"];')
     for u, v in p.family.covers():
         lu = str(u) if len(u) else "{}"
         lines.append(f'  "{lu}" -> "{v}";')

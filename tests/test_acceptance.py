@@ -60,7 +60,7 @@ def base_sweep():
 def test_criterion_01_organization_sections(org_model):
     with criterion(1, "organization model: exact section set at {levels,size}"):
         p = compile_model(org_model)
-        got = set(p.sections[Subset(["size", "levels"])])
+        got = set(p.sections_at(Subset(["size", "levels"])))
         assert got == {
             A(size="large", levels="many"),
             A(size="large", levels="few"),
@@ -133,7 +133,7 @@ def test_criterion_05_oracle_equivalence(base_sweep):
         models, compiled = base_sweep
         for m, p in zip(models, compiled):
             for u in p.family.objects_sorted:
-                assert set(p.sections[u]) == oracle_sections(m, u), (m.name, u)
+                assert set(p.sections_at(u)) == oracle_sections(m, u), (m.name, u)
 
 
 def test_criterion_06_presheaf_laws(base_sweep):
@@ -206,8 +206,8 @@ def test_criterion_10_conservativity_and_preservation():
             for source in (left, right):
                 ps = compile_model(source)
                 for u in ps.family.objects_sorted:
-                    mine = {a.values for a in ps.sections[u]}
-                    theirs = {a.values for a in pm.sections[u]}
+                    mine = set(ps.rows[u])
+                    theirs = set(pm.rows[u])
                     assert mine <= theirs, (seed, source.name, u)
             # preservation: inside a source's fibers its tables still bind
             for guarded in merged.tables:
@@ -223,7 +223,7 @@ def test_criterion_10_conservativity_and_preservation():
                         if len(positions) == 1
                         else itemgetter(*positions)
                     )
-                    for a in pm.sections[u]:
-                        row = get(a.values)
+                    for values in pm.rows[u]:
+                        row = get(values)
                         if all(v in inside[i] for i, v in enumerate(row)):
-                            assert table.admits(row), (seed, u, a, table)
+                            assert table.admits(row), (seed, u, values, table)

@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,15 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("refused: family over 13 features refused")
+
+    @pytest.mark.parametrize("laws", ["", ",", " , ,"], ids=["empty", "comma", "commas"])
+    def test_empty_law_list_is_2(self, capsys, hub_path, laws):
+        code, out, err = run(capsys, "--workspace", hub_path, "check", f"--laws={laws}")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: no law suite given (choose from closure, adjunction, yoneda, analogy)\n"
+        )
 
     def test_usage_error_is_2(self, capsys, hub_path):
         code, _, _ = run(capsys, "--workspace", hub_path, "nonsense")
@@ -410,3 +421,82 @@ def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):
         assert code == 0, command
         assert keys, command
         assert len(keys) == len(set(keys)), command
+
+
+# Byte-identical CLI output: every command line below, in text and in
+# machine format, against stdout, stderr and the exit code stored under
+# tests/golden/cli/.  Rewrite the files with
+# ``PYTHONPATH=src python tests/test_cli.py``
+# only when an output change is intended.
+GOLDEN_CLI = GOLDEN / "cli"
+WORKSPACES = {
+    "hub": Path(__file__).resolve().parents[1] / "src/presh/data/digital_hub.pshw",
+    "broken": FIXTURES / "broken_analogy.pshw",
+}
+CLI_CASES = {
+    "hub-check": ("hub", "check"),
+    "hub-check-closure": ("hub", "check", "--laws=closure"),
+    "hub-check-adjunction": ("hub", "check", "--laws=adjunction"),
+    "hub-check-yoneda": ("hub", "check", "--laws=yoneda"),
+    "hub-check-analogy": ("hub", "check", "--laws=analogy"),
+    "hub-sections": ("hub", "sections", "DigitalHub"),
+    "hub-sections-count": ("hub", "sections", "DigitalHub", "--count"),
+    "hub-sections-object": ("hub", "sections", "Camcorder", "--object", "film,screen"),
+    "hub-sections-object-count": (
+        "hub", "sections", "IMovieHub", "--object", "{edit,film}", "--count"
+    ),
+    "hub-sections-empty-object": ("hub", "sections", "PC", "--object", "{}"),
+    "hub-extend": ("hub", "extend", "Camcorder", "film=prof_and_amateur"),
+    "hub-extend-target": (
+        "hub", "extend", "IMovieHub", "screen=large", "{edit,film,screen}"
+    ),
+    "hub-extend-blocked": (
+        "hub", "extend", "Camcorder", "film=prof_and_amateur,edit=quick_and_easy_editing"
+    ),
+    "hub-merge": ("hub", "merge", "PC", "Camcorder"),
+    "hub-merge-hub": ("hub", "merge", "IMovieHub", "ITunesFromVideo", "--name", "Hub"),
+    "hub-transfer": ("hub", "transfer", "AudioVideo", "IMovieHub"),
+    "hub-diff": ("hub", "diff", "Camcorder", "IMovieHub"),
+    "hub-diff-transfer": ("hub", "diff", "ITunes", "ITunesFromVideo"),
+    "hub-diff-self": ("hub", "diff", "PC", "PC"),
+    "hub-render-dot": ("hub", "render", "DigitalHub", "dot"),
+    "hub-render-canvas": ("hub", "render", "DigitalHub", "canvas"),
+    "hub-render-workspace": ("hub", "render", "workspace", "dot"),
+    "hub-refused-sections": ("hub", "--max-enum", "2", "sections", "PC"),
+    "broken-check": ("broken", "check"),
+    "broken-check-closure": ("broken", "check", "--laws=closure"),
+    "broken-check-analogy": ("broken", "check", "--laws=analogy"),
+    "broken-sections": ("broken", "sections", "A"),
+    "broken-sections-count": ("broken", "sections", "B", "--count"),
+    "broken-extend": ("broken", "extend", "A", "f=b"),
+    "broken-extend-not-local": ("broken", "extend", "B", "g=a"),
+    "broken-merge": ("broken", "merge", "A", "B"),
+    "broken-transfer": ("broken", "transfer", "h", "A"),
+    "broken-diff": ("broken", "diff", "A", "B"),
+    "broken-render-dot": ("broken", "render", "B", "dot"),
+    "broken-render-canvas": ("broken", "render", "A", "canvas"),
+    "broken-refused-merge": ("broken", "--max-enum", "2", "merge", "A", "B"),
+}
+
+
+def _cli_record(workspace: str, fmt: str, *command: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        argv = ["--workspace", str(WORKSPACES[workspace]), "--format", fmt, *command]
+        code = main(argv)
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_matches_golden(case, fmt):
+    golden = (GOLDEN_CLI / f"{case}.{fmt}.txt").read_text(encoding="utf-8")
+    assert _cli_record(CLI_CASES[case][0], fmt, *CLI_CASES[case][1:]) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_CLI.mkdir(exist_ok=True)
+    for case, (workspace, *command) in CLI_CASES.items():
+        for fmt in ("text", "machine"):
+            record = _cli_record(workspace, fmt, *command)
+            (GOLDEN_CLI / f"{case}.{fmt}.txt").write_text(record, encoding="utf-8")

@@ -34,7 +34,7 @@ class TestParseModel:
     def test_org_round_trips_through_compilation(self):
         m = parse_model(ORG_TEXT)
         p = compile_model(m)
-        got = set(p.sections[Subset(["size", "levels"])])
+        got = set(p.sections_at(Subset(["size", "levels"])))
         assert got == {
             Assignment.from_mapping({"size": "large", "levels": "many"}),
             Assignment.from_mapping({"size": "large", "levels": "few"}),
@@ -44,7 +44,7 @@ class TestParseModel:
     def test_features_only_is_unconstrained(self):
         m = parse_model("model m\nfeature a: x | y\n")
         assert m.tables == ()
-        assert len(compile_model(m).sections[Subset(["a"])]) == 2
+        assert len(compile_model(m).sections_at(Subset(["a"]))) == 2
 
     def test_scope_written_order_is_respected(self):
         # (size, levels) written unsorted: tuples must permute into canonical

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,46 @@ class TestGenerators:
         objs = fam.objects_sorted
         expected = [(u, v) for v in objs for u in objs if u.issubset(v)]
         assert list(fam.inclusions()) == expected
+
+
+class TestTrustedConstructor:
+    """Subsets built internally from already validated names equal the ones
+    the public, validating constructor builds."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.names == want.names
+        assert got == want
+        assert hash(got) == hash(want)
+
+    def test_matches_the_public_constructor(self):
+        rng = random.Random(6)
+        pool = ["a", "B", "c_1", "d-2", "_e", "f", "Zz", "g9"]
+        for _ in range(300):
+            left = Subset(rng.sample(pool, rng.randint(0, 5)))
+            right = Subset(rng.sample(pool, rng.randint(0, 5)))
+            self._same(left.union(right), Subset(left.names + right.names))
+            self._same(left.intersection(right), Subset(n for n in left if n in right))
+            self._same(left.difference(right), Subset(n for n in left if n not in right))
+            fam = close_family(left)
+            shortlex = [
+                Subset(combo)
+                for k in range(len(left) + 1)
+                for combo in combinations(left.names, k)
+            ]
+            assert len(fam.objects_sorted) == len(shortlex)
+            for got, want in zip(fam.objects_sorted, shortlex):
+                self._same(got, want)
+            covers = [
+                (Subset(n for n in v if n != dropped), v)
+                for v in shortlex
+                for dropped in reversed(v.names)
+            ]
+            got_covers = list(fam.covers())
+            assert len(got_covers) == len(covers)
+            for (got_u, got_v), (want_u, want_v) in zip(got_covers, covers):
+                self._same(got_u, want_u)
+                self._same(got_v, want_v)
 
 
 class TestMeetJoin:

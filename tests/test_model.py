@@ -33,7 +33,7 @@ def org():
 class TestCompile:
     def test_org_sections_match_the_known_pairs(self, org):
         p = compile_model(org)
-        got = set(p.sections[S("size", "levels")])
+        got = set(p.sections_at(S("size", "levels")))
         assert got == {
             A(size="large", levels="many"),
             A(size="large", levels="few"),
@@ -44,9 +44,9 @@ class TestCompile:
     def test_unconstrained_model_gives_full_products(self):
         m = Model("free", [Fiber("a", ("x", "y")), Fiber("b", ("p", "q", "r"))])
         p = compile_model(m)
-        assert len(p.sections[S("a", "b")]) == 6
-        assert len(p.sections[S("a")]) == 2
-        assert len(p.sections[S()]) == 1
+        assert len(p.sections_at(S("a", "b"))) == 6
+        assert len(p.sections_at(S("a"))) == 2
+        assert len(p.sections_at(S())) == 1
 
     def test_family_covers_scopes_and_seeds(self):
         m = Model(
@@ -66,8 +66,8 @@ class TestCompile:
             [ConstraintTable(S("a"), "allow", [])],
         )
         p = compile_model(m)
-        assert p.sections[S("a")] == ()
-        assert p.sections[S()] == (Assignment(S(), ()),)
+        assert p.sections_at(S("a")) == ()
+        assert p.sections_at(S()) == (Assignment(S(), ()),)
 
     def test_universe_size_refusal(self):
         m = Model("big", [Fiber(f"f{i}", ("x",)) for i in range(13)])
@@ -90,7 +90,7 @@ class TestCompile:
     def test_sections_emitted_in_fiber_order(self):
         m = Model("o", [Fiber("a", ("z", "y"))])
         p = compile_model(m)
-        assert [a.values for a in p.sections[S("a")]] == [("z",), ("y",)]
+        assert [a.values for a in p.sections_at(S("a"))] == [("z",), ("y",)]
 
 
 class TestOracle:
@@ -160,12 +160,12 @@ class TestAgainstOracle:
             p = compile_model(m)
             for u in p.family.objects_sorted:
                 expected = oracle_sections(m, u)
-                assert set(p.sections[u]) == expected, (seed, u)
+                assert set(p.sections_at(u)) == expected, (seed, u)
                 indices = [m.fibers[f].index for f in u.names]
                 ranked = sorted(
                     expected, key=lambda a: [i[v] for i, v in zip(indices, a.values)]
                 )
-                assert list(p.sections[u]) == ranked, (seed, u)
+                assert list(p.sections_at(u)) == ranked, (seed, u)
 
     def test_scope_locality(self):
         m = random_model(5, max_features=3)
@@ -177,7 +177,7 @@ class TestAgainstOracle:
         p = compile_model(widened)
         for u in base.family.objects_sorted:
             if not extra.scope.issubset(u):
-                assert p.sections[u] == base.sections[u]
+                assert p.sections_at(u) == base.sections_at(u)
 
     def test_monotone_in_constraints(self):
         for seed in (3, 17, 40, 77):
@@ -202,7 +202,7 @@ class TestAgainstOracle:
             widened = Model(m.name, m.fibers, others + [grown], m.cover_seeds)
             p = compile_model(widened)
             for u in base.family.objects_sorted:
-                assert set(base.sections[u]) <= set(p.sections[u])
+                assert set(base.sections_at(u)) <= set(p.sections_at(u))
 
     def test_forbid_growth_never_grows_sections(self):
         m = random_model(23, max_features=4)
@@ -217,7 +217,7 @@ class TestAgainstOracle:
         base = compile_model(m)
         p = compile_model(shrunk)
         for u in base.family.objects_sorted:
-            assert set(p.sections[u]) <= set(base.sections[u])
+            assert set(p.sections_at(u)) <= set(base.sections_at(u))
 
 
 def _scope_rows(m, scope):

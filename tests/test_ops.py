@@ -24,7 +24,13 @@ from presh.presheaf import (
     validate_laws,
 )
 
-from util import random_identification, random_pair
+from util import (
+    random_identification,
+    random_pair,
+    reference_diff_presheaves,
+    reference_emergent_sections,
+    reference_overlap_union_report,
+)
 
 
 def S(*names):
@@ -144,7 +150,7 @@ class TestAmalgamate:
         left = compile_model(camcorder_model)
         right = compile_model(merged.result)
         for u in left.family.objects_sorted:
-            assert left.sections[u] == right.sections[u]
+            assert left.sections_at(u) == right.sections_at(u)
 
     def test_random_self_merges_preserve_sections(self):
         from presh.model import random_model
@@ -155,7 +161,7 @@ class TestAmalgamate:
             left = compile_model(m)
             right = compile_model(merged.result)
             for u in left.family.objects_sorted:
-                assert set(left.sections[u]) == set(right.sections[u])
+                assert set(left.sections_at(u)) == set(right.sections_at(u))
 
     def test_constraint_preservation_is_machine_checkable(
         self, pc_model, camcorder_model
@@ -176,7 +182,7 @@ class TestAmalgamate:
         p = compile_model(merged.result)
         fibers = {"left": left.fibers, "right": right.fibers}
         for u in p.family.objects_sorted:
-            for a in p.sections[u]:
+            for a in p.sections_at(u):
                 for guarded in merged.tables:
                     table = guarded.original
                     if not table.scope.issubset(u):
@@ -197,7 +203,7 @@ class TestAmalgamate:
             for source in (left, right):
                 p = compile_model(source)
                 for u in p.family.objects_sorted:
-                    assert set(p.sections[u]) <= set(p_merged.sections[u]), (
+                    assert set(p.sections_at(u)) <= set(p_merged.sections_at(u)), (
                         seed,
                         source.name,
                         u,
@@ -243,12 +249,19 @@ def _emergent(left, right):
     return emergent_sections(*_compiled_merge(left, right))
 
 
+def _common(u, p_merged, p_left, p_right):
+    """The sections at ``u`` that the literal union and the amalgam share."""
+    literal = set(p_left.rows[u]) | set(p_right.rows[u])
+    return {Assignment(u, row) for row in literal & set(p_merged.rows[u])}
+
+
 class TestOverlapUnion:
     def test_singleton_overlap_is_the_fiber_union(self, pc_model, camcorder_model):
-        report = _overlap(pc_model, camcorder_model)
+        compiled = _compiled_merge(pc_model, camcorder_model)
+        report = overlap_union_report(*compiled)
         d = report.per_object[S("screen")]
         assert d.clean
-        values = {a.value_of("screen") for a in d.common}
+        values = {a.value_of("screen") for a in _common(S("screen"), *compiled)}
         assert values == {"large", "small"}
 
     def test_disjoint_models_have_trivial_overlap(self):
@@ -264,14 +277,42 @@ class TestOverlapUnion:
         assert A(film="prof_and_amateur", screen="large") in extra
 
     def test_parts_partition_the_union(self, pc_model, camcorder_model):
-        report = _overlap(pc_model, camcorder_model)
-        for diff in report.per_object.values():
-            parts = (
-                set(diff.only_in_left) | set(diff.only_in_right) | set(diff.common)
-            )
+        compiled = _compiled_merge(pc_model, camcorder_model)
+        report = overlap_union_report(*compiled)
+        for u, diff in report.per_object.items():
+            common = _common(u, *compiled)
+            parts = set(diff.only_in_left) | set(diff.only_in_right) | common
             assert len(parts) == (
-                len(diff.only_in_left) + len(diff.only_in_right) + len(diff.common)
+                len(diff.only_in_left) + len(diff.only_in_right) + len(common)
             )
+
+
+class TestAgainstReferences:
+    """The row-native ops equal their Assignment-set references, order included."""
+
+    @staticmethod
+    def _same(report, reference):
+        assert list(report.per_object) == list(reference)
+        for u, want in reference.items():
+            got = report.per_object[u]
+            assert (got.only_in_left, got.only_in_right) == want[:2], u
+
+    def test_random_pairs(self):
+        for seed in range(150):
+            left, right = random_pair(seed)
+            merged = amalgamate(left, right).result
+            p_merged, p_left, p_right = (compile_model(m) for m in (merged, left, right))
+            for model, p in ((merged, p_merged), (left, p_left), (right, p_right)):
+                for u in p.family.objects_sorted:
+                    assert set(p.sections_at(u)) == oracle_sections(model, u), (seed, u)
+            compiled = (p_merged, p_left, p_right)
+            self._same(
+                overlap_union_report(*compiled), reference_overlap_union_report(*compiled)
+            )
+            want = reference_emergent_sections(*compiled)
+            assert emergent_sections(*compiled) == want, seed
+            for a, b in ((p_left, p_right), (p_merged, p_left), (p_right, p_merged)):
+                self._same(diff_presheaves(a, b), reference_diff_presheaves(a, b))
 
 
 class TestEmergent:
@@ -287,7 +328,7 @@ class TestEmergent:
         for source in (pc_model, camcorder_model):
             p = compile_model(source)
             top = p.family.universe
-            secs = set(p.sections[top])
+            secs = set(p.sections_at(top))
             for s in emergent:
                 if restrict_assignment(s, top) in secs:
                     continue
@@ -314,7 +355,7 @@ class TestTransfer:
         left = compile_model(camcorder_model)
         right = compile_model(out)
         for u in left.family.objects_sorted:
-            assert set(left.sections[u]) == set(right.sections[u])
+            assert set(left.sections_at(u)) == set(right.sections_at(u))
 
     def test_itunes_binding_appears(self, hub):
         p = hub.compile(hub.artifact("ITunesFromVideo"))
@@ -348,7 +389,7 @@ class TestTransfer:
                 for t in s.domain.names
             }
             obj = S(*image)
-            assert Assignment.from_mapping(image) in set(p_src.sections[obj])
+            assert Assignment.from_mapping(image) in set(p_src.sections_at(obj))
 
     def test_commutes_with_presheaf_pullback(self, hub):
         h = hub.workspace.identifications["AudioVideo"].ident
@@ -357,7 +398,7 @@ class TestTransfer:
         via_presheaf = pullback_presheaf(h, compile_model(source))
         assert via_model.family.objects == via_presheaf.family.objects
         for u in via_model.family.objects_sorted:
-            assert set(via_model.sections[u]) == set(via_presheaf.sections[u])
+            assert set(via_model.sections_at(u)) == set(via_presheaf.sections_at(u))
 
     def test_commutes_on_random_models(self):
         from presh.model import random_model
@@ -372,7 +413,7 @@ class TestTransfer:
             via_model = compile_model(out)
             via_presheaf = pullback_presheaf(h, compile_model(m))
             for u in via_model.family.objects_sorted:
-                assert set(via_model.sections[u]) == set(via_presheaf.sections[u]), (
+                assert set(via_model.sections_at(u)) == set(via_presheaf.sections_at(u)), (
                     seed,
                     u,
                 )

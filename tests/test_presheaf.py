@@ -13,7 +13,6 @@ from presh.presheaf import (
     AssignmentPresheaf,
     Fiber,
     HOM_TOKEN,
-    assignment_sort_key,
     blocking_sets,
     closure_complete,
     extensions,
@@ -23,6 +22,7 @@ from presh.presheaf import (
     random_abstract_presheaf,
     representable,
     restrict_assignment,
+    row_sort_key,
     validate_laws,
     yoneda_check,
 )
@@ -70,7 +70,7 @@ class TestRestrictAssignment:
                     for u in objs:
                         if not u.issubset(v):
                             continue
-                        for b in p.sections[w]:
+                        for b in p.sections_at(w):
                             assert restrict_assignment(
                                 restrict_assignment(b, v), u
                             ) == restrict_assignment(b, u)
@@ -84,13 +84,13 @@ class TestValidateLaws:
     def test_broken_closure_is_witnessed(self):
         fam = close_family(S("a", "b"))
         fibers = {"a": Fiber("a", ("l",)), "b": Fiber("b", ("m",))}
-        sections = {
-            S(): (Assignment(S(), ()),),
+        rows = {
+            S(): ((),),
             S("a"): (),  # missing the projection of the pair below
-            S("b"): (A(b="m"),),
-            S("a", "b"): (A(a="l", b="m"),),
+            S("b"): (("m",),),
+            S("a", "b"): (("l", "m"),),
         }
-        report = validate_laws(AssignmentPresheaf(fam, fibers, sections))
+        report = validate_laws(AssignmentPresheaf(fam, fibers, rows))
         assert not report.passed
         laws = {v.law for v in report.violations}
         assert "restriction-closure" in laws
@@ -102,7 +102,7 @@ class TestValidateLaws:
         p = AssignmentPresheaf(
             fam,
             {"a": Fiber("a", ("x",))},
-            {S(): (Assignment(S(), ()),), S("a"): (A(a="zz"),)},
+            {S(): ((),), S("a"): (("zz",),)},
         )
         assert any(v.law == "fiber-typing" for v in validate_laws(p).violations)
 
@@ -149,7 +149,7 @@ class TestClosureComplete:
         p = compile_model(random_model(12))
         closed, additions = closure_complete(p)
         assert additions == {}
-        assert closed.sections == p.sections
+        assert closed.rows == p.rows
 
     def test_projections_added_from_a_global_section(self):
         # one stored global section, nothing below: the closure must add
@@ -161,11 +161,12 @@ class TestClosureComplete:
             "edit": Fiber("edit", ("difficult", "quick")),
         }
         top = A(film="prof_and_amateur", screen="small", edit="difficult")
-        sections = {u: () for u in fam.objects_sorted}
-        sections[fam.universe] = (top,)
-        p = AssignmentPresheaf(fam, fibers, sections)
+        rows = {u: () for u in fam.objects_sorted}
+        rows[fam.universe] = (top.values,)
+        p = AssignmentPresheaf(fam, fibers, rows)
         closed, additions = closure_complete(p)
-        assert A(film="prof_and_amateur", edit="difficult") in additions[S("edit", "film")]
+        pair = A(film="prof_and_amateur", edit="difficult")
+        assert pair.values in additions[pair.domain]
         assert validate_laws(closed).passed
 
     def test_matches_projection_fixpoint_oracle(self):
@@ -173,27 +174,27 @@ class TestClosureComplete:
         for seed in range(25):
             base = compile_model(random_model(seed, max_features=4))
             # knock random holes in random objects to break closure
-            sections = {}
-            for u, secs in base.sections.items():
-                sections[u] = tuple(a for a in secs if rng.random() > 0.5)
-            ragged = AssignmentPresheaf(base.family, base.fibers, sections)
+            rows = {}
+            for u, stored in base.rows.items():
+                rows[u] = tuple(r for r in stored if rng.random() > 0.5)
+            ragged = AssignmentPresheaf(base.family, base.fibers, rows)
             closed, _ = closure_complete(ragged)
             oracle = one_step_projection_fixpoint(ragged)
             for u in base.family.objects_sorted:
-                assert set(closed.sections[u]) == oracle[u]
+                assert set(closed.sections_at(u)) == oracle[u]
 
     def test_idempotent_and_monotone(self):
         base = compile_model(random_model(9, max_features=4))
         holes = {
-            u: secs[: len(secs) // 2] for u, secs in base.sections.items()
+            u: stored[: len(stored) // 2] for u, stored in base.rows.items()
         }
         ragged = AssignmentPresheaf(base.family, base.fibers, holes)
         once, _ = closure_complete(ragged)
         twice, additions = closure_complete(once)
         assert additions == {}
-        assert twice.sections == once.sections
+        assert twice.rows == once.rows
         for u in base.family.objects_sorted:
-            assert set(ragged.sections[u]) <= set(once.sections[u])
+            assert set(ragged.sections_at(u)) <= set(once.sections_at(u))
 
 
 class TestSections:
@@ -223,7 +224,7 @@ class TestSections:
         for seed in (6, 13):
             p = compile_model(random_model(seed, max_features=4))
             for v in p.family.objects_sorted:
-                for b in p.sections[v][:4]:
+                for b in p.sections_at(v)[:4]:
                     for u in p.family.objects_sorted:
                         if not u.issubset(v):
                             continue
@@ -236,15 +237,15 @@ class TestSections:
             p = compile_model(random_model(seed, max_features=4))
             objs = p.family.objects_sorted
             v = rng.choice(objs)
-            if not p.sections[v]:
+            if not p.sections_at(v):
                 continue
             for u in objs:
-                if not u.issubset(v) or not p.sections[u]:
+                if not u.issubset(v) or not p.sections_at(u):
                     continue
-                a = rng.choice(p.sections[u])
+                a = rng.choice(p.sections_at(u))
                 got = set(extensions(p, a, v))
                 want = {
-                    b for b in p.sections[v] if restrict_assignment(b, u) == a
+                    b for b in p.sections_at(v) if restrict_assignment(b, u) == a
                 }
                 assert got == want
 
@@ -265,7 +266,7 @@ class TestSections:
         for seed in range(30):
             p = compile_model(random_model(seed, max_features=4))
             for u in p.family.objects_sorted:
-                for a in p.sections[u][:3]:
+                for a in p.sections_at(u)[:3]:
                     blocks = blocking_sets(p, a)
                     for w in blocks:
                         for o in blocks:
@@ -276,7 +277,7 @@ class TestSections:
             p = compile_model(random_model(seed, max_features=4))
             for b in global_sections(p):
                 for u in p.family.objects_sorted:
-                    assert restrict_assignment(b, u) in p.sections[u]
+                    assert restrict_assignment(b, u) in p.sections_at(u)
 
 
 class TestRepresentable:
@@ -454,7 +455,6 @@ class TestOrdering:
     @settings(max_examples=30, deadline=None)
     def test_sections_are_canonically_sorted(self, seed):
         p = compile_model(random_model(seed, max_features=4))
-        key = assignment_sort_key(p.fibers)
         for u in p.family.objects_sorted:
-            secs = p.sections[u]
-            assert list(secs) == sorted(secs, key=key)
+            rows = p.rows[u]
+            assert list(rows) == sorted(rows, key=row_sort_key(p.fibers, u.names))

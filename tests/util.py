@@ -5,11 +5,18 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
 from presh.lattice import Subset
 from presh.model import Model, random_model
 from presh.ops import FeatureIdentification
-from presh.presheaf import Assignment, AssignmentPresheaf, Fiber, restrict_assignment
+from presh.presheaf import (
+    Assignment,
+    AssignmentPresheaf,
+    Fiber,
+    global_sections,
+    restrict_assignment,
+)
 
 
 def saturation_close(universe: Subset, seeds) -> frozenset[Subset]:
@@ -54,7 +61,10 @@ def brute_force_covers(objects) -> list[tuple[Subset, Subset]]:
 def one_step_projection_fixpoint(p: AssignmentPresheaf) -> dict[Subset, frozenset]:
     """Closure oracle: repeat single-step projection along direct inclusions
     until nothing changes."""
-    sections = {u: set(p.sections.get(u, ())) for u in p.family.objects_sorted}
+    sections = {
+        u: {Assignment(u, row) for row in p.rows.get(u, ())}
+        for u in p.family.objects_sorted
+    }
     changed = True
     while changed:
         changed = False
@@ -139,3 +149,69 @@ def naive_sections(model: Model, u: Subset) -> set[Assignment]:
         if ok:
             out.add(a)
     return out
+
+
+# Reference ops: the Assignment-set versions of presh.ops' diffs, kept to
+# check the row-native ones against, order included.
+
+
+class ReferenceDiff(NamedTuple):
+    only_in_left: tuple[Assignment, ...]
+    only_in_right: tuple[Assignment, ...]
+    common: tuple[Assignment, ...]
+
+
+def _reference_key(a: Assignment) -> tuple:
+    return (a.domain.key(), a.values)
+
+
+def _reference_object_diff(left: set, right: set) -> ReferenceDiff:
+    return ReferenceDiff(
+        tuple(sorted(left - right, key=_reference_key)),
+        tuple(sorted(right - left, key=_reference_key)),
+        tuple(sorted(left & right, key=_reference_key)),
+    )
+
+
+def reference_diff_presheaves(
+    p_left: AssignmentPresheaf, p_right: AssignmentPresheaf
+) -> dict[Subset, ReferenceDiff]:
+    per_object = {}
+    for u in p_left.family.objects_sorted:
+        if u not in p_right.family:
+            continue
+        per_object[u] = _reference_object_diff(
+            set(p_left.sections_at(u)), set(p_right.sections_at(u))
+        )
+    return per_object
+
+
+def reference_overlap_union_report(
+    p_merged: AssignmentPresheaf,
+    p_left: AssignmentPresheaf,
+    p_right: AssignmentPresheaf,
+) -> dict[Subset, ReferenceDiff]:
+    overlap = p_left.family.universe.intersection(p_right.family.universe)
+    per_object = {}
+    for u in p_merged.family.objects_sorted:
+        if not u.issubset(overlap):
+            continue
+        literal = set(p_left.sections_at(u)) | set(p_right.sections_at(u))
+        per_object[u] = _reference_object_diff(literal, set(p_merged.sections_at(u)))
+    return per_object
+
+
+def reference_emergent_sections(
+    p_merged: AssignmentPresheaf,
+    p_left: AssignmentPresheaf,
+    p_right: AssignmentPresheaf,
+) -> tuple[Assignment, ...]:
+    source_tops = []
+    for p in (p_left, p_right):
+        top = p.family.universe
+        source_tops.append((top, frozenset(p.sections_at(top))))
+    return tuple(
+        s
+        for s in global_sections(p_merged)
+        if any(restrict_assignment(s, top) not in secs for top, secs in source_tops)
+    )
