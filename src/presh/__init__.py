@@ -14,7 +14,6 @@ from .errors import (
 )
 from .lattice import (
     CoverFamily,
-    InclusionArrow,
     Subset,
     check_adjunction_triple,
     close_family,

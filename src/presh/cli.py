@@ -212,7 +212,9 @@ class _Out:
 
 
 def cmd_check(ex: Execution, args, out: _Out) -> int:
-    suites = tuple(s.strip() for s in args.laws.split(",") if s.strip())
+    # A suite named twice runs once, in first-seen order.
+    names = (s.strip() for s in args.laws.split(","))
+    suites = tuple(dict.fromkeys(s for s in names if s))
     if not suites:
         raise MalformedInputError(
             f"no law suite given (choose from {', '.join(ALL_SUITES)})"
@@ -338,7 +340,6 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     merged = amalgamate(left, right, name=args.name)
     p = ex.compile(merged.result)
     p_left, p_right = ex.compile(left), ex.compile(right)
-    gs = global_sections(p)
     emergent = emergent_sections(p, p_left, p_right)
     overlap = overlap_union_report(p, p_left, p_right)
     out.text(f"merge {merged.result.name} = {args.left} + {args.right}")
@@ -348,7 +349,7 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
                 f"warning: shared fiber {record.feature!r} declared in a "
                 "different order on each side; left order kept"
             )
-    out.text(f"global sections: {len(gs)}")
+    out.text(f"global sections: {len(p.rows[p.family.universe])}")
     out.text(f"emergent sections: {len(emergent)}")
     for a in emergent:
         out.text(f"  {a}")
@@ -365,13 +366,15 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     out.payload.update(
         {
             "result": merged.result.name,
-            "global_sections": [_assignment_json(a) for a in gs],
             "emergent": [_assignment_json(a) for a in emergent],
             "cross_combinations": {
                 str(u): [_assignment_json(a) for a in extra] for u, extra in cross
             },
         }
     )
+    if out.machine:  # text output prints only the count
+        gs = global_sections(p)
+        out.payload["global_sections"] = [_assignment_json(a) for a in gs]
     if args.emit:
         _emit(merged.result, args.emit, out)
     return EXIT_OK

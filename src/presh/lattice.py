@@ -103,36 +103,6 @@ class Subset:
         return "{" + ",".join(self.names) + "}"
 
 
-@dataclass(frozen=True)
-class InclusionArrow:
-    """The unique arrow source -> target of the poset category (source ⊆ target)."""
-
-    source: Subset
-    target: Subset
-
-    def __post_init__(self):
-        if not self.source.issubset(self.target):
-            raise MalformedInputError(
-                f"no inclusion arrow {self.source} -> {self.target}"
-            )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.source == self.target
-
-    def compose(self, inner: "InclusionArrow") -> "InclusionArrow":
-        """Arrow composition: ``outer.compose(inner)`` for inner: U->V, outer: V->W."""
-        if inner.target != self.source:
-            raise MalformedInputError(
-                f"arrows do not chain: {inner.target} != {self.source}"
-            )
-        return InclusionArrow(inner.source, self.target)
-
-    @staticmethod
-    def identity(obj: Subset) -> "InclusionArrow":
-        return InclusionArrow(obj, obj)
-
-
 def _shortlex(names: tuple[str, ...]) -> Iterator[Subset]:
     """Every subset of the sorted, validated ``names``, in shortlex order."""
     for k in range(len(names) + 1):
@@ -177,10 +147,6 @@ class CoverFamily:
             names = v.names
             for i in range(len(names) - 1, -1, -1):
                 yield (Subset._trusted(names[:i] + names[i + 1 :]), v)
-
-    def arrows(self) -> Iterator[InclusionArrow]:
-        for u, v in self.inclusions():
-            yield InclusionArrow(u, v)
 
     def supersets(self, obj: Subset) -> tuple[Subset, ...]:
         return tuple(v for v in self.objects_sorted if obj.issubset(v))
@@ -260,7 +226,10 @@ def check_adjunction_triple(
     * V ∩ s1 ⊆ U  ⇔  V ⊆ U ∪ (s2∖s1) (restriction is left adjoint to padding)
 
     The sweep is exhaustive over both power sets and refuses above
-    ``max_size`` rather than sampling.
+    ``max_size`` rather than sampling.  It runs on int bitmasks over
+    ``s2.names`` (bit i for the i-th name), so meet is ``&``, join is ``|``
+    and ``a ⊆ b`` is ``not a & ~b``; ``Subset``s serve only as witnesses,
+    in shortlex order.
     """
     if not s1.issubset(s2):
         raise MalformedInputError(f"need {s1} ⊆ {s2}")
@@ -270,12 +239,20 @@ def check_adjunction_triple(
             required=4 ** len(s2),
             bound=4**max_size,
         )
-    pad = s2.difference(s1)
-    outer = tuple(_shortlex(s2.names))
+    bit = {name: 1 << i for i, name in enumerate(s2.names)}
+
+    def with_masks(names: tuple[str, ...]) -> list[tuple[Subset, int]]:
+        return [(u, sum(bit[n] for n in u.names)) for u in _shortlex(names)]
+
+    s1_mask = sum(bit[n] for n in s1.names)
+    pad = ((1 << len(s2)) - 1) & ~s1_mask
+    outer = with_masks(s2.names)
     violations: list[Violation] = []
-    for u in _shortlex(s1.names):
-        for v in outer:
-            if (u.issubset(v)) != (u.issubset(v.intersection(s1))):
+    for u, u_mask in with_masks(s1.names):
+        padded = u_mask | pad
+        for v, v_mask in outer:
+            cut = v_mask & s1_mask
+            if (not u_mask & ~v_mask) != (not u_mask & ~cut):
                 violations.append(
                     Violation(
                         "adjunction-left",
@@ -283,7 +260,7 @@ def check_adjunction_triple(
                         (u, v),
                     )
                 )
-            if (v.intersection(s1).issubset(u)) != (v.issubset(u.union(pad))):
+            if (not cut & ~u_mask) != (not v_mask & ~padded):
                 violations.append(
                     Violation(
                         "adjunction-right",

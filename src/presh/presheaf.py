@@ -366,11 +366,10 @@ def closure_complete(
     rows = {u: set(stored) for u, stored in p.rows.items()}
     for u in p.family.objects_sorted:
         rows.setdefault(u, set())
-    for v in sorted(p.family.objects_sorted, key=Subset.key, reverse=True):
-        for u in p.family.objects_sorted:
-            if u == v or not u.issubset(v):
-                continue
-            rows[u].update(map(row_projection(v, u), rows[v]))
+    # Top down along the Hasse covers: every superset of v comes later in
+    # shortlex, so its rows have reached v before v's own are projected.
+    for u, v in reversed(tuple(p.family.covers())):
+        rows[u].update(map(row_projection(v, u), rows[v]))
     additions = {}
     closed = {}
     for u in p.family.objects_sorted:

@@ -25,14 +25,3 @@ class LawReport:
 
     def __bool__(self) -> bool:
         return self.passed
-
-    @staticmethod
-    def ok() -> "LawReport":
-        return LawReport(())
-
-    @staticmethod
-    def merge(*reports: "LawReport") -> "LawReport":
-        out: list[Violation] = []
-        for r in reports:
-            out.extend(r.violations)
-        return LawReport(tuple(out))

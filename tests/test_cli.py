@@ -397,6 +397,13 @@ class TestCheck:
         assert code == 2
         assert "unknown law suite" in err
 
+    def test_repeated_suite_runs_once_in_first_seen_order(self, capsys, hub_path):
+        code, out, _ = run(
+            capsys, "--workspace", hub_path, "check", "--laws=yoneda,closure,yoneda"
+        )
+        assert code == 0
+        assert out.splitlines() == ["yoneda: ok", "closure: ok"]
+
 
 def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):
     keys = []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import (
-    InclusionArrow,
     Subset,
     check_adjunction_triple,
     close_family,
@@ -19,7 +18,12 @@ from presh.lattice import (
     restriction_functor_r,
 )
 
-from util import brute_force_covers, full_power_set, saturation_close
+from util import (
+    brute_force_covers,
+    full_power_set,
+    reference_adjunction_sweep,
+    saturation_close,
+)
 
 
 def S(*names):
@@ -278,32 +282,15 @@ class TestAdjunction:
         with pytest.raises(EnumerationBoundError):
             check_adjunction_triple(S("f0"), big)
 
-
-class TestPosetCategory:
-    def test_identity_arrows_exist(self):
-        fam = close_family(S("a", "b"))
-        arrows = list(fam.arrows())
-        for u in fam.objects_sorted:
-            assert InclusionArrow.identity(u) in arrows
-
-    def test_composition_is_transitivity(self):
-        f = InclusionArrow(S("a"), S("a", "b"))
-        g = InclusionArrow(S("a", "b"), S("a", "b", "c"))
-        assert g.compose(f) == InclusionArrow(S("a"), S("a", "b", "c"))
-
-    def test_composition_rejects_mismatched_chain(self):
-        f = InclusionArrow(S("a"), S("a", "b"))
-        with pytest.raises(MalformedInputError):
-            f.compose(f)
-
-    def test_no_arrow_without_inclusion(self):
-        with pytest.raises(MalformedInputError):
-            InclusionArrow(S("a", "b"), S("a"))
-
-    def test_identity_neutral(self):
-        f = InclusionArrow(S("a"), S("a", "b"))
-        assert f.compose(InclusionArrow.identity(S("a"))) == f
-        assert InclusionArrow.identity(S("a", "b")).compose(f) == f
+    def test_matches_reference_sweep_on_every_nested_pair(self):
+        pairs = 0
+        for s2 in close_family(Subset(f"a{i}" for i in range(5))).objects_sorted:
+            for s1 in close_family(s2).objects_sorted:
+                assert check_adjunction_triple(s1, s2) == reference_adjunction_sweep(
+                    s1, s2
+                ), (s1, s2)
+                pairs += 1
+        assert pairs == 3**5
 
 
 class TestIsSubobject:

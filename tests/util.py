@@ -7,7 +7,8 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from presh.lattice import Subset
+from presh.errors import EnumerationBoundError, MalformedInputError
+from presh.lattice import ADJUNCTION_SWEEP_BOUND, Subset
 from presh.model import Model, random_model
 from presh.ops import FeatureIdentification
 from presh.presheaf import (
@@ -17,6 +18,7 @@ from presh.presheaf import (
     global_sections,
     restrict_assignment,
 )
+from presh.report import LawReport, Violation
 
 
 def saturation_close(universe: Subset, seeds) -> frozenset[Subset]:
@@ -42,6 +44,44 @@ def full_power_set(universe: Subset) -> frozenset[Subset]:
         for combo in combinations(universe.names, k):
             out.add(Subset(combo))
     return frozenset(out)
+
+
+def reference_adjunction_sweep(
+    s1: Subset, s2: Subset, *, max_size: int = ADJUNCTION_SWEEP_BOUND
+) -> LawReport:
+    """The adjoint-triple sweep on ``Subset`` objects and their set
+    operations, kept to check the bitmask ``check_adjunction_triple``
+    against, witnesses and their order included."""
+    if not s1.issubset(s2):
+        raise MalformedInputError(f"need {s1} ⊆ {s2}")
+    if len(s2) > max_size:
+        raise EnumerationBoundError(
+            "adjunction sweep refused",
+            required=4 ** len(s2),
+            bound=4**max_size,
+        )
+    pad = s2.difference(s1)
+    outer = tuple(sorted(full_power_set(s2), key=Subset.key))
+    violations: list[Violation] = []
+    for u in sorted(full_power_set(s1), key=Subset.key):
+        for v in outer:
+            if (u.issubset(v)) != (u.issubset(v.intersection(s1))):
+                violations.append(
+                    Violation(
+                        "adjunction-left",
+                        f"U ⊆ V disagrees with U ⊆ V∩S1 at U={u}, V={v}",
+                        (u, v),
+                    )
+                )
+            if (v.intersection(s1).issubset(u)) != (v.issubset(u.union(pad))):
+                violations.append(
+                    Violation(
+                        "adjunction-right",
+                        f"V∩S1 ⊆ U disagrees with V ⊆ U∪(S2∖S1) at U={u}, V={v}",
+                        (u, v),
+                    )
+                )
+    return LawReport(tuple(violations))
 
 
 def brute_force_covers(objects) -> list[tuple[Subset, Subset]]:
