@@ -90,7 +90,10 @@ class Execution:
         all objects could exceed ``max_enum``.
 
         Each model content compiles once: sections depend on the fibers and
-        tables only, not on the name, the cover seeds or the labels.
+        tables only, not on the name, the cover seeds or the labels.  The
+        estimate covers the whole lattice and is checked before any object is
+        read.  The objects are built as they are read, and later readers in the
+        same execution (a directive, then the suites of ``check``) reuse them.
         """
         key = (tuple(model.fibers.values()), model.tables)
         if key not in self._compiled:

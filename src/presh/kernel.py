@@ -1,10 +1,11 @@
 """The enumeration kernel: extend the sections of a prefix object by one fiber.
 
 Every section at ``u = (f1..fk)`` restricts to a section at its prefix object
-``(f1..f(k-1))``, so :func:`presh.model.compile_model` builds each object's
-rows from its prefix object's rows with one call here.  Only the tables whose
-last scope feature is ``fk`` need checking: every other table that fits in
-``u`` lies inside the prefix object and already holds there.
+``(f1..f(k-1))``, so a presheaf from :func:`presh.model.compile_model`
+builds an object's rows, the first time the object is read, from its prefix
+object's rows with one call here.  Only the tables whose last scope feature
+is ``fk`` need checking: every other table that fits in ``u`` lies inside
+the prefix object and already holds there.
 """
 
 from __future__ import annotations

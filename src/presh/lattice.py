@@ -127,8 +127,12 @@ class CoverFamily:
     def objects(self) -> frozenset[Subset]:
         return frozenset(self.objects_sorted)
 
+    @cached_property
+    def _names(self) -> frozenset[str]:
+        return frozenset(self.universe.names)
+
     def __contains__(self, obj: object) -> bool:
-        return isinstance(obj, Subset) and obj.issubset(self.universe)
+        return isinstance(obj, Subset) and self._names.issuperset(obj.names)
 
     def require(self, obj: Subset) -> Subset:
         if obj not in self:

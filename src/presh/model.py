@@ -2,26 +2,30 @@
 
 A model describes a system by declaring the value range of each feature and
 constraint tables over feature scopes.  :func:`compile_model` turns that into
-an :class:`~presh.presheaf.AssignmentPresheaf` by enumerating, for every
-object of the cover family, the assignments that satisfy every table whose
-scope fits inside the object.  Restriction closure holds by construction:
-any table applicable at a smaller object is applicable at every larger one.
+an :class:`~presh.presheaf.AssignmentPresheaf` whose sections at an object of
+the cover family are the assignments that satisfy every table whose scope
+fits inside the object.  Restriction closure holds by construction: any
+table applicable at a smaller object is applicable at every larger one.
 
-Two independent evaluation paths exist on purpose.  Compilation builds each
-object from its prefix object (the object minus its last feature), checking
-only the tables that end in that feature (the loop lives in
-:mod:`presh.kernel`); :func:`oracle_sections` filters the naive full product
-per object with plain set membership and shares no code with it.  Their
-exact agreement is the main correctness property of the whole package.
+Compilation checks the bounds and encodes the tables up front; each object
+is enumerated on first read, from its prefix object (the object minus its
+last feature), checking only the tables that end in that feature (the loop
+lives in :mod:`presh.kernel`).  A caller that reads one object pays for its
+prefix chain, and one that reads every object builds each once.
+
+Two independent evaluation paths exist on purpose: :func:`oracle_sections`
+filters the naive full product per object with plain set membership and
+shares no code with compilation.  Their exact agreement is the main
+correctness property of the whole package.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
 
 from . import kernel
 from .errors import EnumerationBoundError, MalformedInputError
@@ -215,6 +219,70 @@ class _CompiledModel:
         return kernel.enumerate_assignments(prefix_rows, self.base[last], checks)
 
 
+class _ObjectRows(Mapping):
+    """The rows of a compiled model at each family object, built on first read.
+
+    Reading an object builds it from its longest already-built prefix object,
+    one :meth:`_CompiledModel.extend` step per feature, and keeps every
+    object on the way, so a reader pays only for the prefix chains it
+    touches.  Iteration and ``len`` cover every object of the family in
+    shortlex order, and membership builds nothing.  ``items`` (and so
+    ``==``) first builds whatever is missing along that order, where each
+    object's prefix object comes earlier.  A ``Subset`` outside the family
+    raises ``KeyError``.
+    """
+
+    def __init__(self, family: CoverFamily, enc: _CompiledModel):
+        self._family = family
+        self._enc = enc
+        # keyed by feature names: a tuple hashes in C, a ``Subset`` does not
+        self._built: dict[tuple[str, ...], tuple[tuple, ...]] = {(): ((),)}
+
+    def __getitem__(self, u: Subset) -> tuple[tuple, ...]:
+        try:
+            rows = self._built.get(u.names)
+        except AttributeError:
+            raise KeyError(u) from None
+        if rows is None:
+            if u not in self._family:
+                raise KeyError(u)
+            rows = self._build(u.names)
+        return rows
+
+    def _build(self, names: tuple[str, ...]) -> tuple[tuple, ...]:
+        built = self._built
+        k = len(names) - 1
+        while names[:k] not in built:
+            k -= 1
+        rows = built[names[:k]]
+        for end in range(k + 1, len(names) + 1):
+            prefix = names[:end]
+            rows = built[prefix] = tuple(self._enc.extend(rows, prefix))
+        return rows
+
+    def _build_all(self) -> None:
+        built = self._built
+        objects = self._family.objects_sorted
+        if len(built) == len(objects):
+            return
+        for u in objects:
+            if u.names not in built:
+                self._build(u.names)
+
+    def __iter__(self) -> Iterator[Subset]:
+        return iter(self._family.objects_sorted)
+
+    def __len__(self) -> int:
+        return len(self._family.objects_sorted)
+
+    def __contains__(self, u: object) -> bool:
+        return u in self._family
+
+    def items(self) -> ItemsView:
+        self._build_all()
+        return ItemsView(self)
+
+
 def compile_model(
     model: Model, *, max_universe: int = LATTICE_SIZE_BOUND
 ) -> AssignmentPresheaf:
@@ -222,17 +290,14 @@ def compile_model(
 
     Every family object gets the rows (value tuples) satisfying all tables
     whose scope it contains; empty section sets are valid data, not errors.
-    Objects are built in shortlex order, each from its prefix object.
+    The bounds are checked here, before any object is read: the family's
+    ``max_universe`` and each table's ``TABLE_MASK_BOUND``.  The objects
+    themselves are built on first read, each from its prefix object (see
+    :class:`_ObjectRows`): the sections at one object cost its prefix chain,
+    and a reader of every object builds each of them once.
     """
     family = family_of(model, max_universe=max_universe)
-    enc = _CompiledModel(model)
-    by_names: dict[tuple[str, ...], tuple[tuple, ...]] = {(): ((),)}
-    rows = {}
-    for u in family.objects_sorted:
-        names = u.names
-        if names:
-            by_names[names] = tuple(enc.extend(by_names[names[:-1]], names))
-        rows[u] = by_names[names]
+    rows = _ObjectRows(family, _CompiledModel(model))
     return AssignmentPresheaf(family, dict(model.fibers), rows)
 
 

@@ -116,10 +116,8 @@ class DiffReport:
         return all(d.clean for d in self.per_object.values())
 
     def dirty_objects(self) -> tuple[Subset, ...]:
-        return tuple(
-            u for u in sorted(self.per_object, key=Subset.key)
-            if not self.per_object[u].clean
-        )
+        dirty = (u for u, d in self.per_object.items() if not d.clean)
+        return tuple(sorted(dirty, key=Subset.key))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,13 @@ def diff_presheaves(
     per_object: dict[Subset, ObjectDiff] = {}
     for u in p_left.family.objects_sorted:
         if u in p_right.family:
-            per_object[u] = _object_diff(u, set(p_left.rows[u]), set(p_right.rows[u]))
+            left, right = p_left.rows[u], p_right.rows[u]
+            # equal row tuples hold equal sets: skip building them
+            per_object[u] = (
+                ObjectDiff((), ())
+                if left == right
+                else _object_diff(u, set(left), set(right))
+            )
     return DiffReport(per_object)
 
 

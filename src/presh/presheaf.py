@@ -117,7 +117,11 @@ def decode(u: Subset, rows: Iterable[tuple[str, ...]]) -> tuple[Assignment, ...]
 def row_projection(v: Subset, u: Subset) -> Callable[[tuple], tuple]:
     """Restriction of rows at ``v`` to ``u`` (``u ⊆ v``): a map from each
     value tuple over ``v`` to its value tuple over ``u``."""
-    positions = tuple(v.names.index(f) for f in u.names)
+    return _projection(tuple(v.names.index(f) for f in u.names))
+
+
+def _projection(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The map from a row to its values at ``positions``, as a tuple."""
     if len(positions) == 1:
         (single,) = positions
         return lambda row: (row[single],)
@@ -162,7 +166,9 @@ class AssignmentPresheaf:
     """Admissible feature-value combinations, one finite set per family object.
 
     ``rows[u]`` holds the sections at ``u`` as value tuples aligned with
-    ``u.names``, in canonical (:func:`row_sort_key`) order.
+    ``u.names``, in canonical (:func:`row_sort_key`) order.  ``rows`` may be
+    any mapping; the one :func:`presh.model.compile_model` returns builds
+    each object on first read.
     """
 
     family: CoverFamily
@@ -232,12 +238,13 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     violations: list[Violation] = []
     # Assignment objects are built just for witnesses
     fiber_values = {f: set(fib.values) for f, fib in p.fibers.items()}
-    tuple_sets: dict[Subset, frozenset[tuple[str, ...]]] = {}
+    stored_at = dict(p.rows.items())
+    tuple_sets: dict[tuple[str, ...], frozenset[tuple[str, ...]]] = {}
     for u in p.family.objects_sorted:
-        stored = p.rows.get(u)
+        stored = stored_at.get(u)
         if stored is None:
             violations.append(Violation("sections-missing", f"no sections at {u}", (u,)))
-            tuple_sets[u] = frozenset()
+            tuple_sets[u.names] = frozenset()
             continue
         rows = frozenset(stored)
         if len(rows) != len(stored):
@@ -257,28 +264,43 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
                     violations.append(
                         Violation("fiber-typing", f"{f}={v} outside the fiber", (u, v))
                     )
-        tuple_sets[u] = rows
+        tuple_sets[u.names] = rows
     if violations:
         return LawReport(tuple(violations))
     # Closure along the cover pairs of the family poset implies closure along
     # every inclusion (projections compose), so checking covers is a complete
-    # violation detector and pinpoints the minimal broken step.
-    for u, v in p.family.covers():
-        if not p.rows[v]:
+    # violation detector and pinpoints the minimal broken step.  Covers come
+    # in ``CoverFamily.covers`` order: each v's single-feature drops, last
+    # feature first.  Dropping position i of a k-feature row is the same map
+    # at every object, and rows are walked one by one only where a drop fails.
+    drops: dict[tuple[int, int], Callable[[tuple], tuple]] = {}
+    for v in p.family.objects_sorted:
+        stored = stored_at[v]
+        if not stored:
             continue
-        at_u = tuple_sets[u]
-        project = row_projection(v, u)
-        for row in p.rows[v]:
-            projected = project(row)
-            if projected not in at_u:
-                b, witness = Assignment(v, row), Assignment(u, projected)
-                violations.append(
-                    Violation(
-                        "restriction-closure",
-                        f"{b} at {v} projects to {witness}, absent at {u}",
-                        (u, v, b),
+        names = v.names
+        k = len(names)
+        for i in range(k - 1, -1, -1):
+            project = drops.get((k, i))
+            if project is None:
+                kept = tuple(range(i)) + tuple(range(i + 1, k))
+                project = drops[(k, i)] = _projection(kept)
+            u_names = names[:i] + names[i + 1 :]
+            at_u = tuple_sets[u_names]
+            if at_u.issuperset(map(project, stored)):
+                continue
+            u = Subset._trusted(u_names)
+            for row in stored:
+                projected = project(row)
+                if projected not in at_u:
+                    b, witness = Assignment(v, row), Assignment(u, projected)
+                    violations.append(
+                        Violation(
+                            "restriction-closure",
+                            f"{b} at {v} projects to {witness}, absent at {u}",
+                            (u, v, b),
+                        )
                     )
-                )
     return LawReport(tuple(violations))
 
 

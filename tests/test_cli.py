@@ -430,6 +430,52 @@ def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):
         assert len(keys) == len(set(keys)), command
 
 
+def _record_builds(monkeypatch) -> list:
+    """Every object a command builds, as (compiled model, feature names)."""
+    built = []
+    extend = model_mod._CompiledModel.extend
+
+    def recording_extend(self, prefix_rows, names):
+        built.append((self, names))
+        return extend(self, prefix_rows, names)
+
+    monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
+    return built
+
+
+WINE_FEATURES = (
+    "aging", "complexity", "marketing", "prestige", "price", "range", "terminology"
+)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        (["--count"], [WINE_FEATURES[:k] for k in range(1, 8)]),
+        (["--object", "{price,range}"], [("price",), ("price", "range")]),
+    ],
+    ids=["count", "object"],
+)
+def test_sections_builds_only_the_prefix_chain(
+    capsys, monkeypatch, data_dir, query, expected
+):
+    built = _record_builds(monkeypatch)
+    wine = str(data_dir / "wine.psh")
+    code, _, _ = run(capsys, "--workspace", wine, "sections", "Wine", *query)
+    assert code == 0
+    assert [names for _, names in built] == expected
+
+
+def test_check_builds_each_object_once_across_suites(capsys, monkeypatch, hub_path):
+    built = _record_builds(monkeypatch)
+    code, _, _ = run(capsys, "--workspace", hub_path, "check", "--laws=closure,analogy")
+    assert code == 0
+    assert len(built) == len(set(built))
+    models = {enc for enc, _ in built}
+    # closure reads every object, so each non-empty one is built exactly once
+    assert len(built) == sum(2 ** len(enc.base) - 1 for enc in models)
+
+
 # Byte-identical CLI output: every command line below, in text and in
 # machine format, against stdout, stderr and the exit code stored under
 # tests/golden/cli/.  Rewrite the files with

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from presh import model as model_mod
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset
 from presh.model import (
@@ -93,6 +96,59 @@ class TestCompile:
         assert [a.values for a in p.sections_at(S("a"))] == [("z",), ("y",)]
 
 
+class TestObjectRows:
+    """``compile_model``'s rows: a read-only mapping over the whole family
+    whose objects are built on first read."""
+
+    def test_mapping_over_every_object_in_shortlex_order(self):
+        m = random_model(2, max_features=4)
+        p = compile_model(m)
+        objects = p.family.objects_sorted
+        assert len(p.rows) == 2 ** len(m.fibers) == len(objects)
+        assert tuple(p.rows) == objects
+        assert all(u in p.rows for u in objects)
+        assert tuple(u for u, _ in p.rows.items()) == objects
+        assert len(tuple(p.rows.values())) == len(objects)
+
+    def test_outside_the_family_is_missing(self, org):
+        p = compile_model(org)
+        for key in (S("zz"), S("size", "zz"), "size", None):
+            assert key not in p.rows
+            assert p.rows.get(key) is None
+            with pytest.raises(KeyError):
+                p.rows[key]
+
+    def test_a_read_builds_from_the_longest_built_prefix(self, monkeypatch):
+        built = []
+        extend = model_mod._CompiledModel.extend
+
+        def recording_extend(self, prefix_rows, names):
+            built.append(names)
+            return extend(self, prefix_rows, names)
+
+        monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
+        p = compile_model(Model("m", [Fiber(f, ("x", "y")) for f in "abcd"]))
+        p.rows[S("a", "c")]
+        p.rows[S("a", "c", "d")]
+        p.rows[S("a", "c")]
+        p.rows[S("b")]
+        assert built == [("a",), ("a", "c"), ("a", "c", "d"), ("b",)]
+        assert len(p.rows[S("a", "b", "c", "d")]) == 16
+        assert built[4:] == [("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
+
+    def test_equal_to_the_same_rows_read_in_any_order(self):
+        for seed in range(20):
+            m = random_model(seed, max_features=4)
+            fresh = compile_model(m)
+            objects = fresh.family.objects_sorted
+            backwards = {u: fresh.rows[u] for u in reversed(objects)}
+            p = compile_model(m)
+            assert p.rows == backwards and backwards == p.rows
+            assert p == compile_model(m)
+            top = p.family.universe
+            assert p.rows != {**backwards, top: backwards[top] + (("zz",) * len(top),)}
+
+
 class TestOracle:
     def test_org(self, org):
         assert oracle_sections(org, S("size", "levels")) == {
@@ -158,7 +214,10 @@ class TestAgainstOracle:
         for seed in range(150):
             m = random_model(seed)
             p = compile_model(m)
-            for u in p.family.objects_sorted:
+            # objects are built on first read: any read order gives the same rows
+            objects = list(p.family.objects_sorted)
+            random.Random(seed).shuffle(objects)
+            for u in objects:
                 expected = oracle_sections(m, u)
                 assert set(p.sections_at(u)) == expected, (seed, u)
                 indices = [m.fibers[f].index for f in u.names]

@@ -27,7 +27,7 @@ from presh.presheaf import (
     yoneda_check,
 )
 
-from util import one_step_projection_fixpoint
+from util import one_step_projection_fixpoint, reference_validate_assignment
 
 
 def S(*names):
@@ -96,6 +96,46 @@ class TestValidateLaws:
         assert "restriction-closure" in laws
         witness = next(v for v in report.violations if v.law == "restriction-closure")
         assert witness.witness[0] == S("a")
+
+    def test_matches_reference_on_broken_presheaves(self):
+        # each seed breaks a compiled model in one or two of five ways
+        breaks = ("drop", "missing", "ragged", "fiber", "duplicate")
+        laws = set()
+        for seed in range(120):
+            rng = random.Random(seed)
+            p = compile_model(random_model(seed, max_features=4))
+            assert validate_laws(p) == reference_validate_assignment(p)
+            rows = {u: list(stored) for u, stored in p.rows.items()}
+            objects = list(p.family.objects_sorted)
+            for kind in rng.sample(breaks, rng.randint(1, 2)):
+                u = rng.choice(objects)
+                if kind == "drop":
+                    for w in objects:
+                        if w in rows and rng.random() < 0.3:
+                            rows[w] = [r for r in rows[w] if rng.random() < 0.5]
+                elif kind == "missing":
+                    rows.pop(u, None)
+                elif kind == "ragged":
+                    rows.setdefault(u, []).append(("v0",) * (len(u) + 1))
+                elif rows.get(u) and len(u):
+                    row = rng.choice(rows[u])
+                    if kind == "fiber":
+                        rows[u].append(("zz",) + row[1:])
+                    else:
+                        rows[u].append(row)
+            broken = AssignmentPresheaf(
+                p.family, p.fibers, {u: tuple(r) for u, r in rows.items()}
+            )
+            report = validate_laws(broken)
+            assert report == reference_validate_assignment(broken), seed
+            laws.update(v.law for v in report.violations)
+        assert laws == {
+            "restriction-closure",
+            "sections-missing",
+            "domain-mismatch",
+            "fiber-typing",
+            "duplicate-section",
+        }
 
     def test_fiber_typing_checked(self):
         fam = close_family(S("a"))

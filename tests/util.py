@@ -17,6 +17,7 @@ from presh.presheaf import (
     Fiber,
     global_sections,
     restrict_assignment,
+    row_projection,
 )
 from presh.report import LawReport, Violation
 
@@ -79,6 +80,60 @@ def reference_adjunction_sweep(
                         "adjunction-right",
                         f"V∩S1 ⊆ U disagrees with V ⊆ U∪(S2∖S1) at U={u}, V={v}",
                         (u, v),
+                    )
+                )
+    return LawReport(tuple(violations))
+
+
+def reference_validate_assignment(p: AssignmentPresheaf) -> LawReport:
+    """Restriction closure and fiber typing checked per row along
+    ``family.covers()``, with a projection built and a ``Subset`` hashed per
+    cover; kept to check ``validate_laws`` against, witnesses and their
+    order included."""
+    violations: list[Violation] = []
+    fiber_values = {f: set(fib.values) for f, fib in p.fibers.items()}
+    tuple_sets: dict[Subset, frozenset[tuple[str, ...]]] = {}
+    for u in p.family.objects_sorted:
+        stored = p.rows.get(u)
+        if stored is None:
+            violations.append(Violation("sections-missing", f"no sections at {u}", (u,)))
+            tuple_sets[u] = frozenset()
+            continue
+        rows = frozenset(stored)
+        if len(rows) != len(stored):
+            violations.append(Violation("duplicate-section", f"repeated assignment at {u}", (u,)))
+        ulen = len(u.names)
+        ragged = [row for row in rows if len(row) != ulen]
+        for row in ragged:
+            violations.append(
+                Violation("domain-mismatch", f"arity {len(row)} row at {u}", (u, row))
+            )
+        well = rows if not ragged else [r for r in rows if len(r) == ulen]
+        for f, column in zip(u.names, zip(*well)):
+            allowed = fiber_values.get(f)
+            used = set(column)
+            if allowed is None or not used <= allowed:
+                for v in sorted(used - (allowed or set())):
+                    violations.append(
+                        Violation("fiber-typing", f"{f}={v} outside the fiber", (u, v))
+                    )
+        tuple_sets[u] = rows
+    if violations:
+        return LawReport(tuple(violations))
+    for u, v in p.family.covers():
+        if not p.rows[v]:
+            continue
+        at_u = tuple_sets[u]
+        project = row_projection(v, u)
+        for row in p.rows[v]:
+            projected = project(row)
+            if projected not in at_u:
+                b, witness = Assignment(v, row), Assignment(u, projected)
+                violations.append(
+                    Violation(
+                        "restriction-closure",
+                        f"{b} at {v} projects to {witness}, absent at {u}",
+                        (u, v, b),
                     )
                 )
     return LawReport(tuple(violations))
