@@ -132,101 +132,101 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# Each match is one token with the blanks before it.  The ``$`` branch takes
+# trailing blanks in one match, so a line is scanned in linear time.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#.*)
-      | (?P<string>"(?:[^"\\]|\\.)*")
+    r"""[ \t]*(?:
+        (?P<string>"(?:[^"\\]|\\.)*")
       | (?P<arrow>->)
       | (?P<name>[A-Za-z_][A-Za-z0-9_-]*)
       | (?P<number>\d+)
       | (?P<punct>[:|{}()=+,.])
+      | \#.* | $
+      | (?P<bad>.))
     """,
     re.X,
 )
 
+#: ``(kind, text, line, column)``; spans are built only for errors.
+_Token = tuple[str, str, int, int]
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+
+def _span(tok: _Token) -> SourceSpan:
+    return SourceSpan(tok[2], tok[3], len(tok[1]) or 1)
 
 
 def _tokenize(line: str, lineno: int, source: str) -> list[_Token]:
     out: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind is None:  # a comment or the end of the line
+            break
+        column = m.start(kind) + 1
+        if kind == "bad":
             raise ParseError(
-                f"unexpected character {line[pos]!r}",
-                SourceSpan(lineno, pos + 1),
+                f"unexpected character {m[kind]!r}",
+                SourceSpan(lineno, column),
                 source=source,
             )
-        kind = m.lastgroup or ""
-        if kind not in ("ws", "comment"):
-            out.append(
-                _Token(kind, m.group(), SourceSpan(lineno, pos + 1, len(m.group())))
-            )
-        pos = m.end()
+        out.append((kind, m[kind], lineno, column))
     return out
 
 
 class _Line:
-    """Cursor over one line's tokens."""
+    """Cursor over one line's tokens, closed by an ``end`` token (empty text)
+    just past the last one, so that reads need no bounds check."""
 
-    def __init__(self, tokens: list[_Token], lineno: int, source: str):
-        self.tokens = tokens
-        self.lineno = lineno
+    def __init__(self, tokens: list[_Token], source: str):
+        _, text, lineno, column = tokens[-1]
+        self.tokens = tokens + [("end", "", lineno, column + len(text))]
         self.source = source
         self.i = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def done(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.tokens[self.i][0] == "end"
 
-    def error(self, message: str, token: _Token | None = None, **kw) -> ParseError:
-        if token is None:
-            token = self.peek()
-        span = token.span if token else SourceSpan(self.lineno, len_of_line(self))
-        return ParseError(message, span, source=self.source, **kw)
+    def error(self, message: str, token: _Token, **kw) -> ParseError:
+        return ParseError(message, _span(token), source=self.source, **kw)
 
     def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of line")
+        tok = self.tokens[self.i]
+        if tok[0] == "end":
+            raise self.error("unexpected end of line", tok)
         self.i += 1
         return tok
 
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
+        tok = self.tokens[self.i]
+        if tok[1] != text:
             raise self.error(
-                f"expected {text!r}", expected=repr(text), found=tok.text if tok else None
+                f"expected {text!r}", tok, expected=repr(text), found=tok[1] or None
             )
-        return self.take()
+        self.i += 1
+        return tok
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if its text is ``text``."""
+        if self.tokens[self.i][1] != text:
+            return False
+        self.i += 1
+        return True
 
     def name(self, what: str = "name") -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "name":
+        tok = self.tokens[self.i]
+        if tok[0] != "name":
             raise self.error(
-                f"expected a {what}", expected=what, found=tok.text if tok else None
+                f"expected a {what}", tok, expected=what, found=tok[1] or None
             )
-        return self.take()
+        self.i += 1
+        return tok
 
     def end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise self.error(f"trailing input {tok.text!r}", tok)
-
-
-def len_of_line(line: _Line) -> int:
-    if line.tokens:
-        last = line.tokens[-1].span
-        return last.column + last.length
-    return 1
+        tok = self.tokens[self.i]
+        if tok[0] != "end":
+            raise self.error(f"trailing input {tok[1]!r}", tok)
 
 
 def _unquote(text: str) -> str:
@@ -242,9 +242,8 @@ def _quote(text: str) -> str:
 
 
 class _ModelBuilder:
-    def __init__(self, name: str, head: _Token):
+    def __init__(self, name: str):
         self.name = name
-        self.head = head
         self.fibers: list[Fiber] = []
         self.by_name: dict[str, Fiber] = {}
         self.tables: list[ConstraintTable] = []
@@ -297,12 +296,12 @@ class _Parser:
         self.defined[name] = kind
 
     def _resolve_artifact(self, tok: _Token, line: _Line) -> str:
-        kind = self.defined.get(tok.text)
+        kind = self.defined.get(tok[1])
         if kind is None:
-            raise line.error(f"undefined reference {tok.text!r}", tok)
+            raise line.error(f"undefined reference {tok[1]!r}", tok)
         if kind == "identification":
-            raise line.error(f"{tok.text!r} is an identification, not a model", tok)
-        return tok.text
+            raise line.error(f"{tok[1]!r} is an identification, not a model", tok)
+        return tok[1]
 
     def _close_model(self):
         if self.model is not None:
@@ -311,9 +310,7 @@ class _Parser:
 
     def _require_workspace(self, line: _Line, tok: _Token):
         if not self.workspace:
-            raise line.error(
-                f"{tok.text!r} is not allowed in a model file", tok
-            )
+            raise line.error(f"{tok[1]!r} is not allowed in a model file", tok)
 
     # -- line dispatch
 
@@ -322,7 +319,7 @@ class _Parser:
             tokens = _tokenize(raw, lineno, self.source)
             if not tokens:
                 continue
-            line = _Line(tokens, lineno, self.source)
+            line = _Line(tokens, self.source)
             if self.ident is not None:
                 self._ident_line(line)
             else:
@@ -330,7 +327,7 @@ class _Parser:
         if self.ident is not None:
             raise ParseError(
                 "identification block never closed",
-                self.ident.head.span,
+                _span(self.ident.head),
                 source=self.source,
             )
         self._close_model()
@@ -338,51 +335,50 @@ class _Parser:
 
     def _top_line(self, line: _Line) -> None:
         head = line.peek()
-        assert head is not None
-        if head.text == "format":
+        if head[1] == "format":
             line.take()
             if self.saw_any:
                 raise line.error("format line must come first", head)
             version = line.take()
-            if version.text != str(FORMAT_VERSION):
+            if version[1] != str(FORMAT_VERSION):
                 raise line.error(
-                    f"unsupported format {version.text!r}",
+                    f"unsupported format {version[1]!r}",
                     version,
                     expected=str(FORMAT_VERSION),
-                    found=version.text,
+                    found=version[1],
                 )
             line.end()
             return
         self.saw_any = True
-        if head.text == "model":
+        if head[1] == "model":
             self._close_model()
             line.take()
             name = line.name("model name")
             line.end()
-            self._define(name.text, "model", name, line)
-            self.model = _ModelBuilder(name.text, name)
+            self._define(name[1], "model", name, line)
+            self.model = _ModelBuilder(name[1])
             return
-        if head.text in ("feature", "label", "cover", "allow", "forbid"):
+        if head[1] in ("feature", "label", "cover", "allow", "forbid"):
             if self.model is None:
-                raise line.error(f"{head.text!r} outside a model block", head)
-            getattr(self, f"_model_{head.text}")(line)
+                raise line.error(f"{head[1]!r} outside a model block", head)
+            getattr(self, f"_model_{head[1]}")(line)
             return
-        if head.text == "include":
+        if head[1] == "include":
             self._require_workspace(line, head)
             self._close_model()
             self._include(line)
             return
-        if head.text == "identify":
+        if head[1] == "identify":
             self._require_workspace(line, head)
             self._close_model()
             self._identify_head(line)
             return
-        if head.text in ("merge", "transfer", "check"):
+        if head[1] in ("merge", "transfer", "check"):
             self._require_workspace(line, head)
             self._close_model()
-            getattr(self, f"_directive_{head.text}")(line)
+            getattr(self, f"_directive_{head[1]}")(line)
             return
-        raise line.error(f"unexpected {head.text!r} at top level", head)
+        raise line.error(f"unexpected {head[1]!r} at top level", head)
 
     # -- model bodies
 
@@ -391,57 +387,53 @@ class _Parser:
         m = self.model
         assert m is not None
         name = line.name("feature name")
-        if name.text in m.by_name:
-            raise line.error(f"feature {name.text!r} declared twice", name)
+        if name[1] in m.by_name:
+            raise line.error(f"feature {name[1]!r} declared twice", name)
         line.expect(":")
         values: list[str] = []
         while True:
             v = line.name("value")
-            if v.text in values:
-                raise line.error(f"duplicate value {v.text!r}", v)
-            values.append(v.text)
+            if v[1] in values:
+                raise line.error(f"duplicate value {v[1]!r}", v)
+            values.append(v[1])
             if line.done():
                 break
             line.expect("|")
-        fib = Fiber(name.text, tuple(values))
+        fib = Fiber(name[1], tuple(values))
         m.fibers.append(fib)
-        m.by_name[name.text] = fib
+        m.by_name[name[1]] = fib
 
     def _model_label(self, line: _Line) -> None:
         line.take()
         m = self.model
         assert m is not None
         feat = line.name("feature name")
-        if feat.text not in m.by_name:
-            raise line.error(f"unknown feature {feat.text!r}", feat)
-        key = feat.text
-        if not line.done() and line.peek().text == ".":
-            line.take()
+        if feat[1] not in m.by_name:
+            raise line.error(f"unknown feature {feat[1]!r}", feat)
+        key = feat[1]
+        if line.accept("."):
             val = line.name("value")
-            if val.text not in m.by_name[feat.text].index:
-                raise line.error(
-                    f"{val.text!r} is not a value of {feat.text!r}", val
-                )
-            key = f"{feat.text}.{val.text}"
+            if val[1] not in m.by_name[feat[1]].index:
+                raise line.error(f"{val[1]!r} is not a value of {feat[1]!r}", val)
+            key = f"{feat[1]}.{val[1]}"
         tok = line.peek()
-        if tok is None or tok.kind != "string":
+        if tok[0] != "string":
             raise line.error("expected a quoted label", tok, expected="string")
         line.take()
         line.end()
-        m.labels[key] = _unquote(tok.text)
+        m.labels[key] = _unquote(tok[1])
 
     def _subset(self, line: _Line) -> Subset:
         m = self.model
         assert m is not None
         line.expect("{")
         names: list[str] = []
-        while line.peek() is not None and line.peek().text != "}":
+        while line.peek()[1] not in ("}", ""):  # "" ends the line
             tok = line.name("feature name")
-            if tok.text not in m.by_name:
-                raise line.error(f"unknown feature {tok.text!r}", tok)
-            names.append(tok.text)
-            if line.peek() is not None and line.peek().text == ",":
-                line.take()
+            if tok[1] not in m.by_name:
+                raise line.error(f"unknown feature {tok[1]!r}", tok)
+            names.append(tok[1])
+            line.accept(",")
         line.expect("}")
         return Subset(names)
 
@@ -469,27 +461,25 @@ class _Parser:
         written: list[str] = []
         while True:
             tok = line.name("feature name")
-            if tok.text not in m.by_name:
-                raise line.error(f"unknown feature {tok.text!r}", tok)
-            if tok.text in written:
-                raise line.error(f"feature {tok.text!r} repeated in scope", tok)
-            written.append(tok.text)
-            if line.peek() is not None and line.peek().text == ",":
-                line.take()
-                continue
-            break
+            if tok[1] not in m.by_name:
+                raise line.error(f"unknown feature {tok[1]!r}", tok)
+            if tok[1] in written:
+                raise line.error(f"feature {tok[1]!r} repeated in scope", tok)
+            written.append(tok[1])
+            if not line.accept(","):
+                break
         line.expect(")")
         line.expect(":")
         scope = Subset(written)
         order = [written.index(f) for f in scope.names]  # written -> canonical
+        fibers = [m.by_name[f] for f in written]
         rows: list[tuple[str, ...]] = []
         while not line.done():
             open_tok = line.expect("(")
             row: list[_Token] = []
-            while line.peek() is not None and line.peek().text != ")":
+            while line.peek()[1] not in (")", ""):  # "" ends the line
                 row.append(line.name("value"))
-                if line.peek() is not None and line.peek().text == ",":
-                    line.take()
+                line.accept(",")
             line.expect(")")
             if len(row) != len(written):
                 raise line.error(
@@ -498,15 +488,15 @@ class _Parser:
                     expected=f"{len(written)} values",
                     found=f"{len(row)}",
                 )
-            for f, vtok in zip(written, row):
-                if vtok.text not in m.by_name[f].index:
+            for fib, vtok in zip(fibers, row):
+                if vtok[1] not in fib.index:
                     raise line.error(
-                        f"{vtok.text!r} is not a value of {f!r}",
+                        f"{vtok[1]!r} is not a value of {fib.feature!r}",
                         vtok,
-                        expected=f"one of {'|'.join(m.by_name[f].values)}",
-                        found=vtok.text,
+                        expected=f"one of {'|'.join(fib.values)}",
+                        found=vtok[1],
                     )
-            rows.append(tuple(row[i].text for i in order))
+            rows.append(tuple([row[i][1] for i in order]))
             if not line.done():
                 line.expect(",")
         m.tables.append(ConstraintTable(scope, polarity, rows))
@@ -516,34 +506,33 @@ class _Parser:
     def _include(self, line: _Line) -> None:
         line.take()
         tok = line.peek()
-        if tok is None or tok.kind != "string":
+        if tok[0] != "string":
             raise line.error("expected a quoted path", tok, expected="string")
         line.take()
         line.end()
-        rel = _unquote(tok.text)
+        rel = _unquote(tok[1])
         if not rel.endswith(".psh"):
             raise line.error("only model files (.psh) can be included", tok)
         path = (self.base / rel) if self.base is not None else Path(rel)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, NUL in path
             raise line.error(f"cannot include {rel!r}: {exc}", tok) from exc
         model = parse_model(text, source=str(path))
-        fake = _Token("name", model.name, tok.span)
-        self._define(model.name, "model", fake, line)
+        self._define(model.name, "model", tok, line)
         self.items.append(model)
 
     def _identify_head(self, line: _Line) -> None:
         head = line.take()
         name = line.name("identification name")
-        self._define(name.text, "identification", name, line)
+        self._define(name[1], "identification", name, line)
         line.expect(":")
         target = line.name("target name")
         line.expect("->")
         source = line.name("source name")
         self._resolve_artifact(source, line)
         line.expect("{")
-        self.ident = _IdentBuilder(name.text, target.text, source.text, head)
+        self.ident = _IdentBuilder(name[1], target[1], source[1], head)
         self._ident_line(line)  # blocks may continue on the same line
 
     def _ident_line(self, line: _Line) -> None:
@@ -551,8 +540,7 @@ class _Parser:
         assert ident is not None
         while not line.done():
             head = line.peek()
-            assert head is not None
-            if head.text == "}":
+            if head[1] == "}":
                 line.take()
                 if ident.current is not None:
                     ident.current = None
@@ -560,37 +548,36 @@ class _Parser:
                 try:
                     self.items.append(ident.build())
                 except MalformedInputError as exc:
-                    raise ParseError(str(exc), ident.head.span, source=self.source)
+                    raise ParseError(str(exc), _span(ident.head), source=self.source)
                 self.ident = None
                 line.end()
                 return
-            if head.text == "feature":
+            if head[1] == "feature":
                 if ident.current is not None:
                     raise line.error("previous feature block never closed", head)
                 line.take()
                 tgt = line.name("target feature")
-                if tgt.text in ident.feature_map:
-                    raise line.error(f"target feature {tgt.text!r} mapped twice", tgt)
+                if tgt[1] in ident.feature_map:
+                    raise line.error(f"target feature {tgt[1]!r} mapped twice", tgt)
                 line.expect("->")
                 src = line.name("source feature")
-                if src.text in ident.feature_map.values():
-                    raise line.error(f"source feature {src.text!r} mapped twice", src)
+                if src[1] in ident.feature_map.values():
+                    raise line.error(f"source feature {src[1]!r} mapped twice", src)
                 line.expect("{")
-                ident.feature_map[tgt.text] = src.text
-                ident.value_maps[tgt.text] = {}
-                ident.current = tgt.text
+                ident.feature_map[tgt[1]] = src[1]
+                ident.value_maps[tgt[1]] = {}
+                ident.current = tgt[1]
                 continue
             if ident.current is None:
                 raise line.error("expected 'feature' or '}'", head)
             vmap = ident.value_maps[ident.current]
             tv = line.name("target value")
-            if tv.text in vmap:
-                raise line.error(f"value {tv.text!r} mapped twice", tv)
+            if tv[1] in vmap:
+                raise line.error(f"value {tv[1]!r} mapped twice", tv)
             line.expect("->")
             sv = line.name("source value")
-            vmap[tv.text] = sv.text
-            if not line.done() and line.peek().text == ",":
-                line.take()
+            vmap[tv[1]] = sv[1]
+            line.accept(",")
 
     # -- directives
 
@@ -604,30 +591,30 @@ class _Parser:
         line.end()
         self._resolve_artifact(left, line)
         self._resolve_artifact(right, line)
-        self._define(result.text, "result", result, line)
-        self.items.append(MergeDirective(result.text, left.text, right.text))
+        self._define(result[1], "result", result, line)
+        self.items.append(MergeDirective(result[1], left[1], right[1]))
 
     def _directive_transfer(self, line: _Line) -> None:
         line.take()
         result = line.name("result name")
         line.expect("=")
         ident = line.name("identification name")
-        if self.defined.get(ident.text) != "identification":
-            raise line.error(f"undefined identification {ident.text!r}", ident)
+        if self.defined.get(ident[1]) != "identification":
+            raise line.error(f"undefined identification {ident[1]!r}", ident)
         line.expect("of")
         source = line.name("model name")
         line.end()
         self._resolve_artifact(source, line)
-        self._define(result.text, "result", result, line)
-        self.items.append(TransferDirective(result.text, ident.text, source.text))
+        self._define(result[1], "result", result, line)
+        self.items.append(TransferDirective(result[1], ident[1], source[1]))
 
     def _directive_check(self, line: _Line) -> None:
         line.take()
         target = line.name("artifact name")
         line.end()
-        if target.text not in self.defined:
-            raise line.error(f"undefined reference {target.text!r}", target)
-        self.items.append(CheckDirective(target.text))
+        if target[1] not in self.defined:
+            raise line.error(f"undefined reference {target[1]!r}", target)
+        self.items.append(CheckDirective(target[1]))
 
 
 def parse_workspace(
@@ -651,7 +638,17 @@ def parse_model(text: str, *, source: str = "<model>") -> Model:
 
 def parse_workspace_file(path: Path | str) -> Workspace:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines up to the bad byte, which stands in as one character
+        lines = (data[: exc.start].decode("utf-8") + "\ufffd").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte {data[exc.start]:#04x} ({exc.reason})",
+            SourceSpan(len(lines), len(lines[-1])),
+            source=str(path),
+        ) from exc
     if path.suffix == ".psh":
         return Workspace((parse_model(text, source=str(path)),))
     return parse_workspace(text, source=str(path), base=path.parent)

@@ -40,6 +40,24 @@ class TestExitCodes:
         assert "duplicate value" in err
         assert "2:16" in err
 
+    def test_workspace_not_utf8_is_2_with_span(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pshw"
+        bad.write_bytes(b"format 1\nmodel A\nfeature x: a\xff\n")
+        code, out, err = run(capsys, "--workspace", str(bad), "sections", "A")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {bad}:3:13: invalid UTF-8 byte 0xff (invalid start byte)\n"
+        )
+
+    def test_include_not_utf8_is_2_at_the_include_string(self, capsys, tmp_path):
+        (tmp_path / "bad.psh").write_bytes(b"model A\nfeature x: a\xff\n")
+        ws = tmp_path / "w.pshw"
+        ws.write_text('format 1\ninclude "bad.psh"\n')
+        code, out, err = run(capsys, "--workspace", str(ws), "sections", "A")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {ws}:2:9: cannot include 'bad.psh': ")
+        assert "can't decode byte 0xff" in err
+
     def test_check_failure_is_1(self, capsys):
         code, _, _ = run(
             capsys,

@@ -1,7 +1,13 @@
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presh import dsl
 from presh.dsl import (
     CheckDirective,
     MergeDirective,
@@ -10,8 +16,10 @@ from presh.dsl import (
     canonicalize,
     parse_model,
     parse_workspace,
+    parse_workspace_file,
     serialize,
 )
+from presh.errors import PreshError
 from presh.lattice import Subset
 from presh.model import compile_model, random_model
 from presh.presheaf import Assignment
@@ -167,6 +175,28 @@ class TestErrorSpans:
             parse_workspace('include "gone.psh"\n', base=tmp_path)
         assert spans(err.value) == (1, 9)
 
+    def test_nul_in_include_path_reported_at_the_string(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            parse_workspace('include "nul\x00.psh"\n', base=tmp_path)
+        assert spans(err.value) == (1, 9)
+        assert err.value.message.startswith("cannot include 'nul\\x00.psh': ")
+
+
+def test_parsing_the_hub_builds_no_span(monkeypatch, data_dir):
+    built = []
+
+    class CountingSpan(dsl.SourceSpan):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "SourceSpan", CountingSpan)
+    parse_workspace_file(data_dir / "digital_hub.pshw")
+    assert built == []
+    with pytest.raises(ParseError):
+        parse_workspace("model A\nfeature f: x | x\n")
+    assert built == [(2, 16, 1)]
+
 
 class TestWorkspace:
     def test_hub_structure(self, hub_workspace):
@@ -265,3 +295,171 @@ class TestRoundTrip:
         m = parse_model('model m\nfeature a: x\nlabel a "say \\"hi\\" \\\\ twice"\n')
         assert m.labels["a"] == 'say "hi" \\ twice'
         assert parse_model(serialize(m)) == m
+
+
+# Parse outcomes pinned byte for byte: one input per rejection the parser
+# can raise, plus seeded 1-3 character mutations of the bundled data files.
+# Each line holds the outcome of one case: a digest of the canonical text
+# when it parses, else the error's message, span, expected and found.
+# Rewrite the file with ``PYTHONPATH=src python tests/test_dsl.py`` only when
+# a parse result or error is meant to change.
+PARSE_GOLDEN = Path(__file__).parent / "golden" / "parse_outcomes.jsonl"
+DATA_DIR = Path(__file__).resolve().parents[1] / "src/presh/data"
+DATA_FILES = (
+    "camcorder.psh",
+    "digital_hub.pshw",
+    "itunes.psh",
+    "organization.psh",
+    "pc.psh",
+    "wine.psh",
+)
+_M = "model m\nfeature a: x | y\nfeature b: p | q\n"
+_W = "model A\nfeature f: x | y\n"
+PARSE_CASES = {
+    "unexpected-character": ("model", _M + "allow (a): (x) $\n"),
+    "unterminated-string": ("model", _M + 'label a "open\n'),
+    "end-of-line-after-format": ("model", "format\n"),
+    "end-of-line-in-label": ("model", _M + "label a.\n"),
+    "expected-colon": ("model", "model m\nfeature a x\n"),
+    "expected-colon-at-end": ("model", "model m\nfeature a\n"),
+    "expected-bar": ("model", "model m\nfeature a: x, y\n"),
+    "expected-close-paren": ("model", _M + "allow (a): (x\n"),
+    "expected-model-name": ("model", "model 1\n"),
+    "trailing-input": ("model", "model m extra\n"),
+    "format-not-first": ("model", "model m\nformat 1\n"),
+    "unsupported-format": ("model", "format 2\nmodel m\n"),
+    "outside-model-block": ("model", "feature a: x\n"),
+    "unexpected-at-top-level": ("model", "bogus x\n"),
+    "feature-declared-twice": ("model", _M + "feature a: z\n"),
+    "duplicate-value": ("model", "model m\nfeature a: x | x\n"),
+    "label-unknown-feature": ("model", _M + 'label c "C"\n'),
+    "label-unknown-value": ("model", _M + 'label a.z "Z"\n'),
+    "label-not-quoted": ("model", _M + "label a x\n"),
+    "label-missing": ("model", _M + "label a\n"),
+    "number-as-value": ("model", "model m\nfeature a: 1\n"),
+    "comments-and-tabs": ("model", "# c\nmodel m # c\n\tfeature a:\tx|y#c\n\n"),
+    "cover-unknown-feature": ("model", _M + "cover: {a,c}\n"),
+    "cover-missing-comma": ("model", _M + "cover: {a} {b}\n"),
+    "scope-unknown-feature": ("model", _M + "forbid (a, c): (x, p)\n"),
+    "scope-repeated-feature": ("model", _M + "forbid (a, a): (x, x)\n"),
+    "tuple-arity": ("model", _M + "forbid (a, b): (x)\n"),
+    "tuple-unknown-value": ("model", _M + "forbid (a, b): (x, z)\n"),
+    "tuple-missing-comma": ("model", _M + "allow (a): (x) (y)\n"),
+    "model-file-directive": ("model", _M + "check m\n"),
+    "model-file-no-model": ("model", "# nothing\n"),
+    "model-file-two-models": ("model", _M + "model n\nfeature c: z\n"),
+    "duplicate-name": ("workspace", _W + "model A\n"),
+    "undefined-reference": ("workspace", _W + "merge C = A + B\n"),
+    "identification-as-model": (
+        "workspace",
+        _W + "identify h: T -> A { feature t -> f { v -> x } }\nmerge C = h + A\n",
+    ),
+    "include-not-quoted": ("workspace", "include pc.psh\n"),
+    "include-nothing": ("workspace", "include\n"),
+    "include-not-psh": ("workspace", 'include "digital_hub.pshw"\n'),
+    "include-missing": ("workspace", 'include "gone.psh"\n'),
+    "include-duplicate-name": (
+        "workspace", "model PC\nfeature f: x\ninclude \"pc.psh\"\n"
+    ),
+    "identify-unknown-source": ("workspace", "identify h: T -> A {\n"),
+    "identify-never-closed": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n"
+    ),
+    "identify-empty-value-map": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n  }\n}\n"
+    ),
+    "identify-feature-block-open": (
+        "workspace",
+        _W + "identify h: T -> A {\n feature t -> f {\n feature u -> f {\n",
+    ),
+    "identify-target-twice": (
+        "workspace",
+        _W + "identify h: T -> A {\n feature t -> f { v -> x }\n feature t -> f {\n",
+    ),
+    "identify-source-twice": (
+        "workspace",
+        "model A\nfeature f: x\nfeature g: y\n"
+        "identify h: T -> A {\n feature t -> f { v -> x }\n feature u -> f {\n",
+    ),
+    "identify-expected-feature": ("workspace", _W + "identify h: T -> A { v -> x }\n"),
+    "identify-value-twice": (
+        "workspace", _W + "identify h: T -> A { feature t -> f { v -> x, v -> y } }\n"
+    ),
+    "identify-trailing-input": (
+        "workspace", _W + "identify h: T -> A { feature t -> f { v -> x } } x\n"
+    ),
+    "transfer-undefined-identification": (
+        "workspace", _W + "transfer B = h of A\n"
+    ),
+    "transfer-expected-of": (
+        "workspace",
+        _W + "identify h: T -> A { feature t -> f { v -> x } }\ntransfer B = h on A\n",
+    ),
+    "check-undefined": ("workspace", _W + "check B\n"),
+    "directive-in-order": ("workspace", _W + "merge A = A + A\n"),
+}
+_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyzABCXYZ0123456789_ \t\n"
+    ':|{}()=+,.->"#\\' + "é"
+)
+
+
+def _mutate(text: str, seed: int) -> str:
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    pos = rng.randrange(len(text))
+    op = rng.choice(("delete", "insert", "replace"))
+    fresh = "".join(rng.choice(_ALPHABET) for _ in range(k))
+    if op == "delete":
+        return text[:pos] + text[pos + k :]
+    if op == "insert":
+        return text[:pos] + fresh + text[pos:]
+    return text[:pos] + fresh + text[pos + k :]
+
+
+def _parse_cases():
+    for name, (kind, text) in PARSE_CASES.items():
+        yield name, kind, text
+    kinds = {".psh": "model", ".pshw": "workspace"}
+    for name in DATA_FILES:
+        path = DATA_DIR / name
+        yield name, kinds[path.suffix], path.read_text()
+    for seed in range(300):
+        path = DATA_DIR / DATA_FILES[seed % len(DATA_FILES)]
+        yield f"{path.name}~{seed}", kinds[path.suffix], _mutate(path.read_text(), seed)
+
+
+def _parse_outcome(kind: str, text: str) -> dict:
+    try:
+        if kind == "model":
+            value = parse_model(text, source="<in>")
+        else:
+            value = parse_workspace(text, source="<in>", base=DATA_DIR)
+    except ParseError as err:
+        return {
+            "error": str(err).replace(str(DATA_DIR), "<data>"),
+            "line": err.span.line,
+            "column": err.span.column,
+            "length": err.span.length,
+            "expected": err.expected,
+            "found": err.found,
+        }
+    except PreshError as err:
+        return {"raised": type(err).__name__, "error": str(err)}
+    digest = hashlib.sha256(serialize(value).encode("utf-8")).hexdigest()
+    return {"ok": digest[:16]}
+
+
+def _parse_record() -> str:
+    return "".join(
+        json.dumps({"case": name, **_parse_outcome(kind, text)}) + "\n"
+        for name, kind, text in _parse_cases()
+    )
+
+
+def test_parse_outcomes_match_golden():
+    assert _parse_record() == PARSE_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    PARSE_GOLDEN.write_text(_parse_record(), encoding="utf-8")
