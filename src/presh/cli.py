@@ -14,6 +14,7 @@ documented field names (see README); output is byte-stable for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -475,7 +476,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = _ArgumentParser(prog="presh", description=__doc__)
     parser.add_argument("--workspace", required=True, help="path to a .pshw or .psh file")
     parser.add_argument(

@@ -1,12 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import presh
 from presh import model as model_mod
-from presh.cli import main
+from presh.cli import build_parser, main
 from presh.dsl import parse_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -492,6 +496,105 @@ def test_check_builds_each_object_once_across_suites(capsys, monkeypatch, hub_pa
     models = {enc for enc, _ in built}
     # closure reads every object, so each non-empty one is built exactly once
     assert len(built) == sum(2 ** len(enc.base) - 1 for enc in models)
+
+
+ITUNES_FEATURES = ("computing", "music", "share", "storage")
+
+
+@pytest.fixture()
+def pullback_hub(capsys, tmp_path, data_dir):
+    """The hub workspace, without its check line, whose ``ITunes`` is the
+    ``transfer --emit`` output of ``AudioVideo`` of ``IMovieHub``."""
+    for name in ("pc.psh", "camcorder.psh", "itunes.psh"):
+        (tmp_path / name).write_text((data_dir / name).read_text())
+    ws = tmp_path / "hub.pshw"
+    ws.write_text(
+        (data_dir / "digital_hub.pshw").read_text().replace("check DigitalHub\n", "")
+    )
+    code, _, _ = run(
+        capsys, "--workspace", str(ws), "transfer", "AudioVideo", "IMovieHub",
+        "--name", "ITunes", "--emit", str(tmp_path / "itunes.psh"),
+    )
+    assert code == 0
+    return str(ws)
+
+
+@pytest.fixture()
+def redundant_row_hub(pullback_hub, tmp_path):
+    """As ``pullback_hub``, with one more forbid row on a combination the
+    ``(share, storage)`` table already excludes: the same sections at every
+    object, from different tables."""
+    itunes = tmp_path / "itunes.psh"
+    itunes.write_text(
+        itunes.read_text()
+        + "forbid (computing, share, storage): (large, bought_and_shared_online, small)\n"
+    )
+    return pullback_hub
+
+
+def test_transfer_onto_its_own_pullback_builds_only_the_universe_chain(
+    capsys, monkeypatch, pullback_hub
+):
+    built = _record_builds(monkeypatch)
+    code, out, _ = run(capsys, "--workspace", pullback_hub, "transfer", "AudioVideo",
+                       "IMovieHub")
+    assert code == 0
+    assert out.splitlines()[-1] == "analogy against ITunes: ok"
+    assert [names for _, names in built] == [
+        ITUNES_FEATURES[:k] for k in range(1, 5)
+    ]
+    assert len({enc for enc, _ in built}) == 1
+
+
+def test_analogy_suite_on_its_own_pullback_builds_nothing(
+    capsys, monkeypatch, pullback_hub
+):
+    built = _record_builds(monkeypatch)
+    code, out, _ = run(capsys, "--workspace", pullback_hub, "check", "--laws=analogy")
+    assert (code, out) == (0, "analogy: ok\n")
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "command, last_line",
+    [
+        (["transfer", "AudioVideo", "IMovieHub"], "analogy against ITunes: ok"),
+        (["check", "--laws=analogy"], "analogy: ok"),
+    ],
+    ids=["transfer", "check-analogy"],
+)
+def test_analogy_with_equal_sections_but_other_tables_compares_every_object(
+    capsys, monkeypatch, redundant_row_hub, command, last_line
+):
+    built = _record_builds(monkeypatch)
+    code, out, _ = run(capsys, "--workspace", redundant_row_hub, *command)
+    assert code == 0
+    assert out.splitlines()[-1] == last_line
+    # the transfer and the target are two presheaves, each built in full
+    assert len(built) == len(set(built))
+    models = {enc for enc, _ in built}
+    assert len(models) == 2
+    assert len(built) == 2 * (2 ** len(ITUNES_FEATURES) - 1)
+
+
+def test_one_process_answers_like_fresh_processes(capsys, hub_path):
+    commands = [
+        ["--workspace", hub_path, "nonsense"],
+        ["--workspace", hub_path, "sections", "Camcorder", "--object", "film,screen"],
+        ["--workspace", hub_path, "transfer", "AudioVideo", "IMovieHub"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(presh.__file__).parents[1]))
+    build_parser.cache_clear()
+    in_process = [run(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "presh.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    assert in_process == fresh
 
 
 # Byte-identical CLI output: every command line below, in text and in
