@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import (
@@ -52,6 +51,7 @@ from .presheaf import (
     validate_laws,
     yoneda_check,
 )
+from .report import LawReport, Record
 from . import render as render_mod
 
 EXIT_OK = 0
@@ -68,16 +68,22 @@ class _CheckFailed(PreshError):
         self.lines = lines
 
 
-@dataclass
-class Execution:
+class Execution(Record):
     """A parsed workspace with its directives carried out."""
 
-    workspace: Workspace
-    max_enum: int
-    artifacts: dict[str, Model] = field(default_factory=dict)
-    merges: dict[str, MergedModel] = field(default_factory=dict)
-    transfer_skips: dict[str, tuple[Subset, ...]] = field(default_factory=dict)
-    _compiled: dict[tuple, AssignmentPresheaf] = field(default_factory=dict)
+    _fields = (
+        "workspace", "max_enum", "artifacts", "merges", "transfer_skips", "_compiled"
+    )
+
+    def __init__(self, workspace: Workspace, max_enum: int):
+        self.workspace = workspace
+        self.max_enum = max_enum
+        self.artifacts: dict[str, Model] = {}
+        self.merges: dict[str, MergedModel] = {}
+        self.transfer_skips: dict[str, tuple[Subset, ...]] = {}
+        self._compiled: dict[tuple, AssignmentPresheaf] = {}
+        # the law report of each compiled presheaf, under the same key
+        self._reports: dict[tuple, LawReport] = {}
 
     def artifact(self, name: str) -> Model:
         model = self.artifacts.get(name)
@@ -96,7 +102,7 @@ class Execution:
         read.  The objects are built as they are read, and later readers in the
         same execution (a directive, then the suites of ``check``) reuse them.
         """
-        key = (tuple(model.fibers.values()), model.tables)
+        key = _content_key(model)
         if key not in self._compiled:
             estimate = 1
             for fib in model.fibers.values():
@@ -109,6 +115,19 @@ class Execution:
                 )
             self._compiled[key] = compile_model(model)
         return self._compiled[key]
+
+    def validate(self, model: Model) -> LawReport:
+        """The law report of ``model``'s compiled presheaf, validated once per
+        content: the ``check`` directive and the closure suite share it."""
+        key = _content_key(model)
+        if key not in self._reports:
+            self._reports[key] = validate_laws(self.compile(model))
+        return self._reports[key]
+
+
+def _content_key(model: Model) -> tuple:
+    """What a model's sections depend on: its fibers and its tables."""
+    return (tuple(model.fibers.values()), model.tables)
 
 
 def execute(workspace: Workspace, *, max_enum: int) -> Execution:
@@ -131,7 +150,7 @@ def execute(workspace: Workspace, *, max_enum: int) -> Execution:
             ex.artifacts[directive.result] = model
             ex.transfer_skips[directive.result] = skipped
         elif isinstance(directive, CheckDirective):
-            report = validate_laws(ex.compile(ex.artifact(directive.target)))
+            report = ex.validate(ex.artifact(directive.target))
             if not report.passed:
                 raise _CheckFailed(
                     [f"check {directive.target}: FAIL"]
@@ -234,7 +253,7 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
         violations: list[str] = []
         if suite == "closure":
             for name in sorted(ex.artifacts):
-                report = validate_laws(ex.compile(ex.artifact(name)))
+                report = ex.validate(ex.artifact(name))
                 violations.extend(f"{name}: {v}" for v in report.violations)
         elif suite == "adjunction":
             universe = Subset([f"a{i}" for i in range(5)])

@@ -27,7 +27,6 @@ point: ``serialize(parse(serialize(x))) == serialize(x)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -37,15 +36,19 @@ from .lattice import Subset
 from .model import ALLOW, FORBID, ConstraintTable, Model
 from .ops import FeatureIdentification
 from .presheaf import Fiber
+from .report import Frozen
 
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Frozen):
+    _fields = ("line", "column", "length")
     line: int
     column: int
-    length: int = 1
+    length: int
+
+    def __init__(self, line: int, column: int, length: int = 1):
+        self._freeze(line=line, column=column, length=length)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -72,43 +75,58 @@ class ParseError(PreshError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class IdentificationDecl:
+class IdentificationDecl(Frozen):
     """A named identification plus the domain names it was declared between."""
 
+    _fields = ("ident", "target_name", "source_name")
     ident: FeatureIdentification
     target_name: str
     source_name: str
 
+    def __init__(self, ident: FeatureIdentification, target_name: str, source_name: str):
+        self._freeze(ident=ident, target_name=target_name, source_name=source_name)
 
-@dataclass(frozen=True)
-class MergeDirective:
+
+class MergeDirective(Frozen):
+    _fields = ("result", "left", "right")
     result: str
     left: str
     right: str
 
+    def __init__(self, result: str, left: str, right: str):
+        self._freeze(result=result, left=left, right=right)
 
-@dataclass(frozen=True)
-class TransferDirective:
+
+class TransferDirective(Frozen):
+    _fields = ("result", "identification", "source")
     result: str
     identification: str
     source: str
 
+    def __init__(self, result: str, identification: str, source: str):
+        self._freeze(result=result, identification=identification, source=source)
 
-@dataclass(frozen=True)
-class CheckDirective:
+
+class CheckDirective(Frozen):
+    _fields = ("target",)
     target: str
+
+    def __init__(self, target: str):
+        self._freeze(target=target)
 
 
 Directive = Union[MergeDirective, TransferDirective, CheckDirective]
 WorkspaceItem = Union[Model, IdentificationDecl, Directive]
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(Frozen):
     """Everything a workspace file declares, in declaration order."""
 
+    _fields = ("items",)
     items: tuple[WorkspaceItem, ...]
+
+    def __init__(self, items: tuple[WorkspaceItem, ...]):
+        self._freeze(items=items)
 
     @cached_property
     def models(self) -> dict[str, Model]:

@@ -22,13 +22,12 @@ byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import EnumerationBoundError, MalformedInputError
-from .report import LawReport, Violation
+from .report import Frozen, LawReport, Violation
 
 #: Valid feature (and value, and model) name.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -48,14 +47,15 @@ def check_feature_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Frozen):
     """An immutable set of feature names, stored sorted.
 
     Accepts any iterable of names; duplicates collapse.  Set operations
     return new subsets.
     """
 
+    __slots__ = ("names",)
+    _fields = ("names",)
     names: tuple[str, ...]
 
     def __init__(self, names: Iterable[str] = ()):
@@ -63,6 +63,14 @@ class Subset:
         for n in ordered:
             check_feature_name(n)
         object.__setattr__(self, "names", ordered)
+
+    def __eq__(self, other: object):
+        if other.__class__ is Subset:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     @classmethod
     def _trusted(cls, names: tuple[str, ...]) -> "Subset":
@@ -110,14 +118,17 @@ def _shortlex(names: tuple[str, ...]) -> Iterator[Subset]:
             yield Subset._trusted(combo)
 
 
-@dataclass(frozen=True)
-class CoverFamily:
+class CoverFamily(Frozen):
     """The subset lattice a presheaf is indexed by: every subset of ``universe``.
 
     Construct through :func:`close_family` to get the size bound.
     """
 
+    _fields = ("universe",)
     universe: Subset
+
+    def __init__(self, universe: Subset):
+        self._freeze(universe=universe)
 
     @cached_property
     def objects_sorted(self) -> tuple[Subset, ...]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 
@@ -37,6 +36,7 @@ from .lattice import (
     close_family,
 )
 from .presheaf import Assignment, AssignmentPresheaf, Fiber
+from .report import Frozen
 
 #: Refusal bound for the oracle's full product at a single object.
 ORACLE_PRODUCT_BOUND = 10**7
@@ -48,14 +48,15 @@ ALLOW = "allow"
 FORBID = "forbid"
 
 
-@dataclass(frozen=True)
-class ConstraintTable:
+class ConstraintTable(Frozen):
     """A constraint over one scope: an allow-list or a forbid-list of tuples.
 
     Tuple positions follow the scope's canonical (sorted) feature order.
     Tuples are stored sorted and deduplicated, so equal tables compare equal.
     """
 
+    __slots__ = ("scope", "polarity", "tuples")
+    _fields = ("scope", "polarity", "tuples")
     scope: Subset
     polarity: str
     tuples: tuple[tuple[str, ...], ...]
@@ -75,6 +76,15 @@ class ConstraintTable:
         object.__setattr__(self, "polarity", polarity)
         object.__setattr__(self, "tuples", tuple(rows))
 
+    def __eq__(self, other: object):
+        if other.__class__ is ConstraintTable:
+            mine = (self.scope, self.polarity, self.tuples)
+            return mine == (other.scope, other.polarity, other.tuples)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.scope, self.polarity, self.tuples))
+
     def admits(self, row: tuple[str, ...]) -> bool:
         if self.polarity == ALLOW:
             return row in self.tuples
@@ -84,8 +94,7 @@ class ConstraintTable:
         return (self.scope.key(), self.polarity, self.tuples)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Frozen):
     """Fibers, constraint tables and cover seeds under one name.
 
     Feature declaration order is significant (it is the serialization and
@@ -93,11 +102,12 @@ class Model:
     so structurally equal models compare equal.
     """
 
+    _fields = ("name", "fibers", "tables", "cover_seeds", "labels")
     name: str
     fibers: Mapping[str, Fiber]
-    tables: tuple[ConstraintTable, ...] = ()
-    cover_seeds: tuple[Subset, ...] = ()
-    labels: Mapping[str, str] = field(default_factory=dict)
+    tables: tuple[ConstraintTable, ...]
+    cover_seeds: tuple[Subset, ...]
+    labels: Mapping[str, str]
 
     def __init__(
         self,
@@ -133,15 +143,13 @@ class Model:
             for f in seed:
                 if f not in seen:
                     raise MalformedInputError(f"cover seed names unknown feature {f!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "fibers", dict(seen))
-        object.__setattr__(
-            self, "tables", tuple(sorted(set(tables), key=ConstraintTable.sort_key))
+        self._freeze(
+            name=name,
+            fibers=dict(seen),
+            tables=tuple(sorted(set(tables), key=ConstraintTable.sort_key)),
+            cover_seeds=tuple(sorted(set(cover_seeds), key=Subset.key)),
+            labels=dict(labels or {}),
         )
-        object.__setattr__(
-            self, "cover_seeds", tuple(sorted(set(cover_seeds), key=Subset.key))
-        )
-        object.__setattr__(self, "labels", dict(labels or {}))
 
     @property
     def features(self) -> Subset:

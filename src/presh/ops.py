@@ -16,7 +16,6 @@ pulling the compiled source presheaf back along the identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
@@ -24,11 +23,10 @@ from .errors import MalformedInputError
 from .lattice import Subset, check_feature_name
 from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
 from .presheaf import Assignment, AssignmentPresheaf, Fiber, decode, row_projection
-from .report import LawReport, Violation
+from .report import Frozen, LawReport, Violation
 
 
-@dataclass(frozen=True)
-class FeatureIdentification:
+class FeatureIdentification(Frozen):
     """An analogy map: target features onto source features, values alongside.
 
     ``feature_map`` sends each target feature to a distinct source feature;
@@ -37,30 +35,37 @@ class FeatureIdentification:
     canonical fiber order of the transferred model.
     """
 
+    _fields = ("name", "feature_map", "value_maps")
     name: str
     feature_map: Mapping[str, str]
     value_maps: Mapping[str, Mapping[str, str]]
 
-    def __post_init__(self):
-        check_feature_name(self.name)
+    def __init__(
+        self,
+        name: str,
+        feature_map: Mapping[str, str],
+        value_maps: Mapping[str, Mapping[str, str]],
+    ):
+        check_feature_name(name)
         seen_sources: set[str] = set()
-        for tgt, src in self.feature_map.items():
+        for tgt, src in feature_map.items():
             check_feature_name(tgt)
             check_feature_name(src)
             if src in seen_sources:
                 raise MalformedInputError(
-                    f"identification {self.name!r} maps two features onto {src!r}"
+                    f"identification {name!r} maps two features onto {src!r}"
                 )
             seen_sources.add(src)
-        if set(self.value_maps) != set(self.feature_map):
+        if set(value_maps) != set(feature_map):
             raise MalformedInputError(
-                f"identification {self.name!r} needs one value map per mapped feature"
+                f"identification {name!r} needs one value map per mapped feature"
             )
-        for tgt, vmap in self.value_maps.items():
+        for tgt, vmap in value_maps.items():
             if not vmap:
                 raise MalformedInputError(
-                    f"identification {self.name!r} has an empty value map for {tgt!r}"
+                    f"identification {name!r} has an empty value map for {tgt!r}"
                 )
+        self._freeze(name=name, feature_map=feature_map, value_maps=value_maps)
 
     def target_fibers(self) -> dict[str, Fiber]:
         return {t: Fiber(t, tuple(vmap)) for t, vmap in self.value_maps.items()}
@@ -69,47 +74,83 @@ class FeatureIdentification:
         return tuple(self.feature_map)
 
 
-@dataclass(frozen=True)
-class SharedFiber:
+class SharedFiber(Frozen):
     """Merge provenance for one shared feature."""
 
+    _fields = ("feature", "left_values", "right_values", "added_from_right", "reordered")
     feature: str
     left_values: tuple[str, ...]
     right_values: tuple[str, ...]
     added_from_right: tuple[str, ...]
     reordered: bool
 
+    def __init__(
+        self,
+        feature: str,
+        left_values: tuple[str, ...],
+        right_values: tuple[str, ...],
+        added_from_right: tuple[str, ...],
+        reordered: bool,
+    ):
+        self._freeze(
+            feature=feature,
+            left_values=left_values,
+            right_values=right_values,
+            added_from_right=added_from_right,
+            reordered=reordered,
+        )
 
-@dataclass(frozen=True)
-class GuardedTable:
+
+class GuardedTable(Frozen):
     """Merge provenance for one imported table."""
 
+    _fields = ("source", "original", "imported", "guarded")
     source: str  # "left" | "right"
     original: ConstraintTable
     imported: ConstraintTable
     guarded: bool
 
+    def __init__(
+        self, source: str, original: ConstraintTable, imported: ConstraintTable, guarded: bool
+    ):
+        self._freeze(source=source, original=original, imported=imported, guarded=guarded)
 
-@dataclass(frozen=True)
-class MergedModel:
+
+class MergedModel(Frozen):
+    _fields = ("result", "shared", "tables")
     result: Model
     shared: tuple[SharedFiber, ...]
     tables: tuple[GuardedTable, ...]
 
+    def __init__(
+        self, result: Model, shared: tuple[SharedFiber, ...], tables: tuple[GuardedTable, ...]
+    ):
+        self._freeze(result=result, shared=shared, tables=tables)
 
-@dataclass(frozen=True)
-class ObjectDiff:
+
+class ObjectDiff(Frozen):
+    __slots__ = ("only_in_left", "only_in_right")
+    _fields = ("only_in_left", "only_in_right")
     only_in_left: tuple[Assignment, ...]
     only_in_right: tuple[Assignment, ...]
+
+    def __init__(
+        self, only_in_left: tuple[Assignment, ...], only_in_right: tuple[Assignment, ...]
+    ):
+        object.__setattr__(self, "only_in_left", only_in_left)
+        object.__setattr__(self, "only_in_right", only_in_right)
 
     @property
     def clean(self) -> bool:
         return not self.only_in_left and not self.only_in_right
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(Frozen):
+    _fields = ("per_object",)
     per_object: Mapping[Subset, ObjectDiff]
+
+    def __init__(self, per_object: Mapping[Subset, ObjectDiff]):
+        self._freeze(per_object=per_object)
 
     @property
     def is_empty(self) -> bool:
@@ -152,11 +193,21 @@ def add_feature(model: Model, fiber: Fiber) -> Model:
     )
 
 
-@dataclass(frozen=True)
-class RemovalReport:
-    projected: tuple[ConstraintTable, ...] = ()
-    dropped_forbid: tuple[ConstraintTable, ...] = ()
-    dropped_empty: tuple[ConstraintTable, ...] = ()
+class RemovalReport(Frozen):
+    _fields = ("projected", "dropped_forbid", "dropped_empty")
+    projected: tuple[ConstraintTable, ...]
+    dropped_forbid: tuple[ConstraintTable, ...]
+    dropped_empty: tuple[ConstraintTable, ...]
+
+    def __init__(
+        self,
+        projected: tuple[ConstraintTable, ...] = (),
+        dropped_forbid: tuple[ConstraintTable, ...] = (),
+        dropped_empty: tuple[ConstraintTable, ...] = (),
+    ):
+        self._freeze(
+            projected=projected, dropped_forbid=dropped_forbid, dropped_empty=dropped_empty
+        )
 
 
 def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:

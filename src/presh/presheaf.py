@@ -20,7 +20,6 @@ raising.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import itemgetter
@@ -28,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .errors import EnumerationBoundError, MalformedInputError
 from .lattice import CoverFamily, Subset, check_feature_name, close_family
-from .report import LawReport, Violation
+from .report import Frozen, LawReport, Violation
 
 #: Refuse natural-transformation enumerations with more raw candidates than this.
 NAT_ENUM_BOUND = 10**6
@@ -37,25 +36,34 @@ NAT_ENUM_BOUND = 10**6
 HOM_TOKEN = "*"
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(Frozen):
     """The finite, ordered value range of one feature.
 
     Declaration order is canonical and preserved bit-exactly; it drives
     enumeration order and serialization.
     """
 
+    _fields = ("feature", "values")
     feature: str
     values: tuple[str, ...]
 
-    def __post_init__(self):
-        check_feature_name(self.feature)
-        if not self.values:
-            raise MalformedInputError(f"fiber of {self.feature!r} is empty")
-        if len(set(self.values)) != len(self.values):
-            raise MalformedInputError(f"fiber of {self.feature!r} repeats a value")
-        for v in self.values:
+    def __init__(self, feature: str, values: tuple[str, ...]):
+        check_feature_name(feature)
+        if not values:
+            raise MalformedInputError(f"fiber of {feature!r} is empty")
+        if len(set(values)) != len(values):
+            raise MalformedInputError(f"fiber of {feature!r} repeats a value")
+        for v in values:
             check_feature_name(v)
+        self._freeze(feature=feature, values=values)
+
+    def __eq__(self, other: object):
+        if other.__class__ is Fiber:
+            return (self.feature, self.values) == (other.feature, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.feature, self.values))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -65,22 +73,33 @@ class Fiber:
         return value in self.index
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Frozen):
     """A choice of one value per feature of ``domain``.
 
     ``values`` aligns positionally with ``domain.names`` (which is sorted),
     so equality and hashing are structural.
     """
 
+    __slots__ = ("domain", "values")
+    _fields = ("domain", "values")
     domain: Subset
     values: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.values) != len(self.domain):
+    def __init__(self, domain: Subset, values: tuple[str, ...]):
+        if len(values) != len(domain.names):
             raise MalformedInputError(
-                f"assignment has {len(self.values)} values for {len(self.domain)} features"
+                f"assignment has {len(values)} values for {len(domain.names)} features"
             )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object):
+        if other.__class__ is Assignment:
+            return (self.domain, self.values) == (other.domain, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.values))
 
     @staticmethod
     def from_mapping(binding: Mapping[str, str]) -> "Assignment":
@@ -161,8 +180,7 @@ def row_sort_key(
     return key
 
 
-@dataclass(frozen=True)
-class AssignmentPresheaf:
+class AssignmentPresheaf(Frozen):
     """Admissible feature-value combinations, one finite set per family object.
 
     ``rows[u]`` holds the sections at ``u`` as value tuples aligned with
@@ -171,9 +189,18 @@ class AssignmentPresheaf:
     each object on first read.
     """
 
+    _fields = ("family", "fibers", "rows")
     family: CoverFamily
     fibers: Mapping[str, Fiber]
     rows: Mapping[Subset, tuple[tuple[str, ...], ...]]
+
+    def __init__(
+        self,
+        family: CoverFamily,
+        fibers: Mapping[str, Fiber],
+        rows: Mapping[Subset, tuple[tuple[str, ...], ...]],
+    ):
+        self._freeze(family=family, fibers=fibers, rows=rows)
 
     def sections_at(self, u: Subset) -> tuple[Assignment, ...]:
         self.family.require(u)
@@ -196,8 +223,7 @@ class AssignmentPresheaf:
         return AbstractPresheaf(self.family, elements, restrictions)
 
 
-@dataclass(frozen=True)
-class AbstractPresheaf:
+class AbstractPresheaf(Frozen):
     """A finite presheaf with opaque elements and explicit restriction maps.
 
     ``restrictions`` is keyed by the inclusion pair ``(smaller, larger)`` and
@@ -205,9 +231,18 @@ class AbstractPresheaf:
     raw constructor does not validate; run :func:`validate_laws`.
     """
 
+    _fields = ("family", "elements", "restrictions")
     family: CoverFamily
     elements: Mapping[Subset, tuple[str, ...]]
     restrictions: Mapping[tuple[Subset, Subset], Mapping[str, str]]
+
+    def __init__(
+        self,
+        family: CoverFamily,
+        elements: Mapping[Subset, tuple[str, ...]],
+        restrictions: Mapping[tuple[Subset, Subset], Mapping[str, str]],
+    ):
+        self._freeze(family=family, elements=elements, restrictions=restrictions)
 
     def elements_at(self, u: Subset) -> tuple[str, ...]:
         self.family.require(u)
@@ -217,11 +252,14 @@ class AbstractPresheaf:
         return self.restrictions[(u, v)][x]
 
 
-@dataclass(frozen=True)
-class NatTransformation:
+class NatTransformation(Frozen):
     """An objectwise family of maps commuting with restrictions."""
 
+    _fields = ("components",)
     components: Mapping[Subset, Mapping[str, str]]
+
+    def __init__(self, components: Mapping[Subset, Mapping[str, str]]):
+        self._freeze(components=components)
 
     def at(self, u: Subset) -> Mapping[str, str]:
         return self.components[u]

@@ -452,6 +452,37 @@ def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):
         assert len(keys) == len(set(keys)), command
 
 
+@pytest.mark.parametrize(
+    "command, calls",
+    [
+        # the `check DigitalHub` directive alone
+        (["sections", "DigitalHub", "--count"], 1),
+        (["check", "--laws=adjunction"], 1),
+        # six artifacts, five contents (ITunesFromVideo compiles to ITunes's
+        # presheaf); the directive's DigitalHub report is reused by the suite
+        (["check", "--laws=closure"], 5),
+        (["check"], 5),
+    ],
+)
+def test_each_command_validates_each_presheaf_once(
+    capsys, monkeypatch, hub_path, command, calls
+):
+    import presh.cli
+
+    validated = []
+    validate = presh.cli.validate_laws
+
+    def counting_validate(p):
+        validated.append(p)
+        return validate(p)
+
+    monkeypatch.setattr(presh.cli, "validate_laws", counting_validate)
+    code, _, _ = run(capsys, "--workspace", hub_path, *command)
+    assert code == 0
+    assert len(validated) == calls
+    assert len({id(p) for p in validated}) == calls
+
+
 def _record_builds(monkeypatch) -> list:
     """Every object a command builds, as (compiled model, feature names)."""
     built = []
