@@ -32,7 +32,6 @@ from .errors import EnumerationBoundError, MalformedInputError, PreshError
 from .lattice import Subset, check_adjunction_triple, close_family
 from .model import Model, compile_model
 from .ops import (
-    MergedModel,
     amalgamate,
     analogy_check,
     diff_presheaves,
@@ -71,16 +70,12 @@ class _CheckFailed(PreshError):
 class Execution(Record):
     """A parsed workspace with its directives carried out."""
 
-    _fields = (
-        "workspace", "max_enum", "artifacts", "merges", "transfer_skips", "_compiled"
-    )
+    _fields = ("workspace", "max_enum", "artifacts", "_compiled")
 
     def __init__(self, workspace: Workspace, max_enum: int):
         self.workspace = workspace
         self.max_enum = max_enum
         self.artifacts: dict[str, Model] = {}
-        self.merges: dict[str, MergedModel] = {}
-        self.transfer_skips: dict[str, tuple[Subset, ...]] = {}
         self._compiled: dict[tuple, AssignmentPresheaf] = {}
         # the law report of each compiled presheaf, under the same key
         self._reports: dict[tuple, LawReport] = {}
@@ -97,10 +92,10 @@ class Execution(Record):
         all objects could exceed ``max_enum``.
 
         Each model content compiles once: sections depend on the fibers and
-        tables only, not on the name, the cover seeds or the labels.  The
-        estimate covers the whole lattice and is checked before any object is
-        read.  The objects are built as they are read, and later readers in the
-        same execution (a directive, then the suites of ``check``) reuse them.
+        tables only, not on the name or the labels.  The estimate covers the
+        whole lattice and is checked before any object is read.  The objects
+        are built as they are read, and later readers in the same execution
+        (a directive, then the suites of ``check``) reuse them.
         """
         key = _content_key(model)
         if key not in self._compiled:
@@ -140,15 +135,13 @@ def execute(workspace: Workspace, *, max_enum: int) -> Execution:
                 ex.artifact(directive.right),
                 name=directive.result,
             )
-            ex.merges[directive.result] = merged
             ex.artifacts[directive.result] = merged.result
         elif isinstance(directive, TransferDirective):
             decl = workspace.identifications[directive.identification]
-            model, skipped = transfer(
+            model, _ = transfer(
                 decl.ident, ex.artifact(directive.source), name=directive.result
             )
             ex.artifacts[directive.result] = model
-            ex.transfer_skips[directive.result] = skipped
         elif isinstance(directive, CheckDirective):
             report = ex.validate(ex.artifact(directive.target))
             if not report.passed:

@@ -10,7 +10,6 @@ merge/transfer/check instructions::
     feature screen: small
     feature edit: difficult | quick
     label edit "editing possibilities"
-    cover: {edit,film}
     forbid (edit, screen): (quick, small)
 
     identify h: Target -> Source { feature a -> b { v1 -> w1, v2 -> w2 } }
@@ -20,8 +19,10 @@ merge/transfer/check instructions::
 
 Names must be declared before use; parsing never executes anything.  Every
 rejection carries a 1-based source span.  ``serialize`` emits the canonical
-form (tables and seeds sorted, one value-map pair per line) and is a fixed
-point: ``serialize(parse(serialize(x))) == serialize(x)``.
+form (tables sorted, one value-map pair per line) and is a fixed point:
+``serialize(parse(serialize(x))) == serialize(x)``.  A model may also hold
+``cover: {a,b}, {c}`` lines; they are accepted and ignored (every subset of
+the features is already an object), so ``serialize`` never writes one.
 """
 
 from __future__ import annotations
@@ -265,11 +266,10 @@ class _ModelBuilder:
         self.fibers: list[Fiber] = []
         self.by_name: dict[str, Fiber] = {}
         self.tables: list[ConstraintTable] = []
-        self.seeds: list[Subset] = []
         self.labels: dict[str, str] = {}
 
     def build(self) -> Model:
-        return Model(self.name, self.fibers, self.tables, self.seeds, self.labels)
+        return Model(self.name, self.fibers, self.tables, self.labels)
 
 
 class _IdentBuilder:
@@ -441,27 +441,21 @@ class _Parser:
         line.end()
         m.labels[key] = _unquote(tok[1])
 
-    def _subset(self, line: _Line) -> Subset:
-        m = self.model
-        assert m is not None
-        line.expect("{")
-        names: list[str] = []
-        while line.peek()[1] not in ("}", ""):  # "" ends the line
-            tok = line.name("feature name")
-            if tok[1] not in m.by_name:
-                raise line.error(f"unknown feature {tok[1]!r}", tok)
-            names.append(tok[1])
-            line.accept(",")
-        line.expect("}")
-        return Subset(names)
-
     def _model_cover(self, line: _Line) -> None:
+        # the family is every subset of the features, so a seed adds nothing:
+        # its names are checked and it is dropped, and old files still parse
         line.take()
         line.expect(":")
         m = self.model
         assert m is not None
         while not line.done():
-            m.seeds.append(self._subset(line))
+            line.expect("{")
+            while line.peek()[1] not in ("}", ""):  # "" ends the line
+                tok = line.name("feature name")
+                if tok[1] not in m.by_name:
+                    raise line.error(f"unknown feature {tok[1]!r}", tok)
+                line.accept(",")
+            line.expect("}")
             if not line.done():
                 line.expect(",")
 
@@ -687,8 +681,6 @@ def _model_lines(m: Model) -> list[str]:
             key = f"{f}.{v}"
             if key in m.labels:
                 lines.append(f"label {key} {_quote(m.labels[key])}")
-    if m.cover_seeds:
-        lines.append("cover: " + ", ".join(str(s) for s in m.cover_seeds))
     for t in m.tables:
         scope = "(" + ", ".join(t.scope.names) + ")"
         rows = ", ".join("(" + ", ".join(r) + ")" for r in t.tuples)

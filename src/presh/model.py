@@ -95,18 +95,17 @@ class ConstraintTable(Frozen):
 
 
 class Model(Frozen):
-    """Fibers, constraint tables and cover seeds under one name.
+    """Fibers, constraint tables and display labels under one name.
 
     Feature declaration order is significant (it is the serialization and
-    canvas order); tables and cover seeds are canonicalized on construction
-    so structurally equal models compare equal.
+    canvas order); tables are canonicalized on construction so structurally
+    equal models compare equal.  A label key is a feature or ``feature.value``.
     """
 
-    _fields = ("name", "fibers", "tables", "cover_seeds", "labels")
+    _fields = ("name", "fibers", "tables", "labels")
     name: str
     fibers: Mapping[str, Fiber]
     tables: tuple[ConstraintTable, ...]
-    cover_seeds: tuple[Subset, ...]
     labels: Mapping[str, str]
 
     def __init__(
@@ -114,7 +113,6 @@ class Model(Frozen):
         name: str,
         fibers: Mapping[str, Fiber] | Iterable[Fiber],
         tables: Iterable[ConstraintTable] = (),
-        cover_seeds: Iterable[Subset] = (),
         labels: Mapping[str, str] | None = None,
     ):
         check_feature_name(name)
@@ -139,16 +137,23 @@ class Model(Frozen):
                         raise MalformedInputError(
                             f"tuple value {v!r} is not in the fiber of {f!r}"
                         )
-        for seed in cover_seeds:
-            for f in seed:
-                if f not in seen:
-                    raise MalformedInputError(f"cover seed names unknown feature {f!r}")
+        if labels is None:
+            labels = {}
+        elif not isinstance(labels, Mapping):
+            raise MalformedInputError(
+                f"labels must be a mapping, not {type(labels).__name__}"
+            )
+        for key in labels:
+            f, dot, v = key.partition(".")
+            if f not in seen or (dot and v not in seen[f]):
+                raise MalformedInputError(
+                    f"label {key!r} names no feature or feature value"
+                )
         self._freeze(
             name=name,
             fibers=dict(seen),
             tables=tuple(sorted(set(tables), key=ConstraintTable.sort_key)),
-            cover_seeds=tuple(sorted(set(cover_seeds), key=Subset.key)),
-            labels=dict(labels or {}),
+            labels=dict(labels),
         )
 
     @property
@@ -160,12 +165,12 @@ class Model(Frozen):
         return tuple(self.fibers)
 
     def with_name(self, name: str) -> "Model":
-        return Model(name, self.fibers, self.tables, self.cover_seeds, self.labels)
+        return Model(name, self.fibers, self.tables, self.labels)
 
 
 def family_of(model: Model, *, max_universe: int = LATTICE_SIZE_BOUND) -> CoverFamily:
     """The model's cover family: every subset of its features (``Model``
-    already rejects seeds and scopes outside them)."""
+    already rejects scopes outside them)."""
     return close_family(model.features, max_universe=max_universe)
 
 
@@ -376,7 +381,4 @@ def random_model(
             if rng.random() < keep
         ]
         tables.append(ConstraintTable(scope, polarity, rows))
-    seeds = []
-    for _ in range(rng.randint(0, 2)):
-        seeds.append(Subset(rng.sample(names, rng.randint(1, n))))
-    return Model(name or f"m{seed}", fibers, tables, seeds)
+    return Model(name or f"m{seed}", fibers, tables)

@@ -70,9 +70,6 @@ class FeatureIdentification(Frozen):
     def target_fibers(self) -> dict[str, Fiber]:
         return {t: Fiber(t, tuple(vmap)) for t, vmap in self.value_maps.items()}
 
-    def target_features(self) -> tuple[str, ...]:
-        return tuple(self.feature_map)
-
 
 class SharedFiber(Frozen):
     """Merge provenance for one shared feature."""
@@ -178,19 +175,14 @@ def extend_fiber(model: Model, feature: str, new_values: tuple[str, ...]) -> Mod
         Fiber(f.feature, f.values + tuple(new_values)) if f.feature == feature else f
         for f in model.fibers.values()
     ]
-    return Model(model.name, fibers, model.tables, model.cover_seeds, model.labels)
+    return Model(model.name, fibers, model.tables, model.labels)
 
 
 def add_feature(model: Model, fiber: Fiber) -> Model:
     if fiber.feature in model.fibers:
         raise MalformedInputError(f"feature {fiber.feature!r} already present")
-    return Model(
-        model.name,
-        list(model.fibers.values()) + [fiber],
-        model.tables,
-        model.cover_seeds,
-        model.labels,
-    )
+    fibers = list(model.fibers.values()) + [fiber]
+    return Model(model.name, fibers, model.tables, model.labels)
 
 
 class RemovalReport(Frozen):
@@ -239,13 +231,12 @@ def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:
         new_table = ConstraintTable(rest, ALLOW, rows)
         tables.append(new_table)
         projected.append(table)
-    seeds = [s.difference(gone) for s in model.cover_seeds]
     labels = {
         k: v
         for k, v in model.labels.items()
         if k != feature and not k.startswith(feature + ".")
     }
-    out = Model(model.name, fibers, tables, [s for s in seeds if len(s)], labels)
+    out = Model(model.name, fibers, tables, labels)
     return out, RemovalReport(tuple(projected), tuple(dropped_forbid), tuple(dropped_empty))
 
 
@@ -324,13 +315,7 @@ def amalgamate(left: Model, right: Model, *, name: str | None = None) -> MergedM
 
     labels = dict(right.labels)
     labels.update(left.labels)
-    result = Model(
-        name or f"{left.name}_{right.name}",
-        merged_fibers,
-        tables,
-        left.cover_seeds + right.cover_seeds,
-        labels,
-    )
+    result = Model(name or f"{left.name}_{right.name}", merged_fibers, tables, labels)
     return MergedModel(result, tuple(shared), tuple(imported))
 
 
@@ -451,13 +436,7 @@ def transfer(
             if tuple(image) in table.tuples:
                 rows.append(combo)
         tables.append(ConstraintTable(tgt_scope, table.polarity, rows))
-    seeds = []
-    targets = set(h.feature_map)
-    for seed in source.cover_seeds:
-        pre = Subset(t for t in targets if h.feature_map[t] in seed)
-        if len(pre):
-            seeds.append(pre)
-    out = Model(name or f"{h.name}_{source.name}", list(fibers.values()), tables, seeds)
+    out = Model(name or f"{h.name}_{source.name}", list(fibers.values()), tables)
     return out, tuple(sorted(set(skipped), key=Subset.key))
 
 

@@ -244,10 +244,6 @@ class AbstractPresheaf(Frozen):
     ):
         self._freeze(family=family, elements=elements, restrictions=restrictions)
 
-    def elements_at(self, u: Subset) -> tuple[str, ...]:
-        self.family.require(u)
-        return self.elements[u]
-
     def restrict(self, x: str, v: Subset, u: Subset) -> str:
         return self.restrictions[(u, v)][x]
 

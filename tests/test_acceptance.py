@@ -27,7 +27,7 @@ from presh.presheaf import (
 )
 from presh.render import canvas
 
-from util import random_identification, random_pair
+from util import random_identification, random_pair, without_cover_lines
 
 SWEEP = 1000
 BUDGET_SECONDS = 10.0
@@ -185,7 +185,7 @@ def test_criterion_09_dsl_round_trip(data_dir):
             "itunes.psh",
         ):
             text = (data_dir / name).read_text()
-            assert canonicalize(text) == text, name
+            assert canonicalize(text) == without_cover_lines(text), name
             model = parse_model(text)
             assert parse_model(serialize(model)) == model, name
         for seed in range(500):

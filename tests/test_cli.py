@@ -699,6 +699,24 @@ def test_cli_output_matches_golden(case, fmt):
     assert _cli_record(CLI_CASES[case][0], fmt, *CLI_CASES[case][1:]) == golden
 
 
+# The model text ``--emit`` writes, pinned byte for byte under tests/golden/emit/.
+EMIT_CASES = {
+    "hub-merge-emit": ("merge", "PC", "Camcorder", "--name", "VideoHub"),
+    "hub-transfer-emit": ("transfer", "AudioVideo", "IMovieHub", "--name", "ITunes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_CASES))
+def test_emitted_model_matches_golden(capsys, hub_path, tmp_path, case):
+    target = tmp_path / "emitted.psh"
+    code, _, _ = run(
+        capsys, "--workspace", hub_path, *EMIT_CASES[case], "--emit", str(target)
+    )
+    assert code == 0
+    golden = GOLDEN / "emit" / f"{case}.psh"
+    assert target.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN_CLI.mkdir(exist_ok=True)
     for case, (workspace, *command) in CLI_CASES.items():

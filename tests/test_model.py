@@ -51,15 +51,15 @@ class TestCompile:
         assert len(p.sections_at(S("a"))) == 2
         assert len(p.sections_at(S())) == 1
 
-    def test_family_covers_scopes_and_seeds(self):
+    def test_family_covers_scopes_and_unnamed_subsets(self):
         m = Model(
             "m",
             [Fiber("a", ("x",)), Fiber("b", ("x",)), Fiber("c", ("x",))],
             [ConstraintTable(S("a", "b"), "allow", [("x", "x")])],
-            [S("b", "c")],
         )
         fam = family_of(m)
         assert S("a", "b") in fam.objects
+        # no table names {b,c}: the family is every subset of the features
         assert S("b", "c") in fam.objects
 
     def test_empty_sections_are_data(self):
@@ -186,9 +186,14 @@ class TestModelValue:
                 [ConstraintTable(S("b"), "allow", [("x",)])],
             )
 
-    def test_cover_seed_outside_universe_names_feature(self):
-        with pytest.raises(MalformedInputError, match="'z'"):
-            Model("m", [Fiber("a", ("x",))], cover_seeds=[S("a", "z")])
+    def test_labels_name_features_or_their_values(self):
+        fibers = [Fiber("a", ("x",)), Fiber("b", ("y",))]
+        ok = Model("m", fibers, (), {"a": "A", "a.x": "X"})
+        assert ok.labels == {"a": "A", "a.x": "X"}
+        # a stale call passing cover seeds fourth would land in ``labels``
+        for labels in ([S("a", "b")], [], {"z": "Z"}, {"a.y": "Y"}, {"a.": "?"}):
+            with pytest.raises(MalformedInputError):
+                Model("m", fibers, (), labels)
 
     def test_table_values_must_typecheck(self):
         with pytest.raises(MalformedInputError):
@@ -232,7 +237,7 @@ class TestAgainstOracle:
         extra = ConstraintTable(S("x0", "x1"), "forbid", [("v0", "v0")])
         if len(m.fibers) < 2:
             pytest.skip("needs two features")
-        widened = Model(m.name, m.fibers, list(m.tables) + [extra], m.cover_seeds)
+        widened = Model(m.name, m.fibers, list(m.tables) + [extra])
         p = compile_model(widened)
         for u in base.family.objects_sorted:
             if not extra.scope.issubset(u):
@@ -258,7 +263,7 @@ class TestAgainstOracle:
                 continue
             grown = ConstraintTable(target.scope, "allow", target.tuples + (row,))
             others = [t for t in m.tables if t is not target]
-            widened = Model(m.name, m.fibers, others + [grown], m.cover_seeds)
+            widened = Model(m.name, m.fibers, others + [grown])
             p = compile_model(widened)
             for u in base.family.objects_sorted:
                 assert set(base.sections_at(u)) <= set(p.sections_at(u))
@@ -271,7 +276,6 @@ class TestAgainstOracle:
             m.name,
             m.fibers,
             list(m.tables) + [ConstraintTable(scope, "forbid", [row])],
-            m.cover_seeds,
         )
         base = compile_model(m)
         p = compile_model(shrunk)

@@ -482,7 +482,6 @@ class TestAnalogyCheck:
             out.name,
             out.fibers,
             list(out.tables) + [ConstraintTable(S("e"), "forbid", [("q",)])],
-            out.cover_seeds,
         )
         report = analogy_check(compile_model(out), compile_model(stricter))
         assert not report.passed

@@ -53,7 +53,7 @@ def _table():
 
 
 def _model():
-    return Model("M", [_fiber()], [_table()], [Subset(["a"])], {"a": "the a"})
+    return Model("M", [_fiber()], [_table()], {"a": "the a"})
 
 
 def _ident():
@@ -122,19 +122,17 @@ CASES = [
             "name": "M",
             "fibers": [_fiber()],
             "tables": [_table()],
-            "cover_seeds": [Subset(["a"])],
             "labels": {"a": "the a"},
         },
         lambda: {
             "name": "M",
             "fibers": [_fiber()],
             "tables": [_table()],
-            "cover_seeds": [Subset(["a"])],
             "labels": {"a": "an a"},
         },
         "Model(name='M', fibers={'a': Fiber(feature='a', values=('x', 'y'))}, "
         "tables=(ConstraintTable(scope=Subset(names=('a',)), polarity='forbid', "
-        "tuples=(('y',),)),), cover_seeds=(Subset(names=('a',)),), labels={'a': 'the a'})",
+        "tuples=(('y',),)),), labels={'a': 'the a'})",
         False,
     ),
     Case(
@@ -236,8 +234,8 @@ CASES = [
         lambda: {"result": _model(), "shared": (), "tables": (_guarded(),)},
         "MergedModel(result=Model(name='M', fibers={'a': Fiber(feature='a', "
         "values=('x', 'y'))}, tables=(ConstraintTable(scope=Subset(names=('a',)), "
-        "polarity='forbid', tuples=(('y',),)),), cover_seeds=(Subset(names=('a',)),), "
-        "labels={'a': 'the a'}), shared=(SharedFiber(feature='a', left_values=('x',), "
+        "polarity='forbid', tuples=(('y',),)),), labels={'a': 'the a'}), "
+        "shared=(SharedFiber(feature='a', left_values=('x',), "
         "right_values=('x', 'y'), added_from_right=('y',), reordered=False),), "
         "tables=(GuardedTable(source='left', original=ConstraintTable("
         "scope=Subset(names=('a',)), polarity='forbid', tuples=(('y',),)), "
@@ -319,8 +317,8 @@ CASES = [
         lambda: {"items": (_model(),)},
         "Workspace(items=(Model(name='M', fibers={'a': Fiber(feature='a', "
         "values=('x', 'y'))}, tables=(ConstraintTable(scope=Subset(names=('a',)), "
-        "polarity='forbid', tuples=(('y',),)),), cover_seeds=(Subset(names=('a',)),), "
-        "labels={'a': 'the a'}), IdentificationDecl(ident=FeatureIdentification("
+        "polarity='forbid', tuples=(('y',),)),), labels={'a': 'the a'}), "
+        "IdentificationDecl(ident=FeatureIdentification("
         "name='h', feature_map={'a': 'b'}, value_maps={'a': {'x': 'p'}}), "
         "target_name='T', source_name='S'), MergeDirective(result='R', left='L', "
         "right='Q'), TransferDirective(result='R', identification='h', source='S'), "
@@ -332,7 +330,7 @@ CASES = [
         lambda: {"workspace": Workspace((CheckDirective("R"),)), "max_enum": 10},
         lambda: {"workspace": Workspace((CheckDirective("R"),)), "max_enum": 11},
         "Execution(workspace=Workspace(items=(CheckDirective(target='R'),)), "
-        "max_enum=10, artifacts={}, merges={}, transfer_skips={}, _compiled={})",
+        "max_enum=10, artifacts={}, _compiled={})",
         False,
     ),
 ]
@@ -379,12 +377,11 @@ def test_equal_values_hash_equal(case):
             hash(first)
 
 
-def test_model_is_unhashable_and_compares_all_five_fields():
+def test_model_is_unhashable_and_compares_all_four_fields():
     base = dict(
         name="M",
         fibers=[Fiber("a", ("x", "y"))],
         tables=[ConstraintTable(Subset(["a"]), "forbid", [("y",)])],
-        cover_seeds=[Subset(["a"])],
         labels={"a": "the a"},
     )
     with pytest.raises(TypeError):
@@ -393,7 +390,6 @@ def test_model_is_unhashable_and_compares_all_five_fields():
         name="N",
         fibers=[Fiber("a", ("x", "y", "z"))],
         tables=[],
-        cover_seeds=[],
         labels={},
     )
     for field, value in changes.items():
@@ -424,7 +420,7 @@ def test_defaults():
     assert RemovalReport() == RemovalReport((), (), ())
     assert SourceSpan(1, 2).length == 1
     model = Model("M", [Fiber("a", ("x",))])
-    assert (model.tables, model.cover_seeds, model.labels) == ((), (), {})
+    assert (model.tables, model.labels) == ((), {})
 
 
 def test_cached_properties_survive_freezing():

@@ -39,6 +39,14 @@ def saturation_close(universe: Subset, seeds) -> frozenset[Subset]:
         current |= fresh
 
 
+def without_cover_lines(text: str) -> str:
+    """``text`` minus its ``cover:`` lines, which the parser accepts and
+    ignores, so canonical text never holds one."""
+    return "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("cover:")
+    )
+
+
 def full_power_set(universe: Subset) -> frozenset[Subset]:
     out = set()
     for k in range(len(universe) + 1):
@@ -202,7 +210,7 @@ def random_pair(seed: int, **limits) -> tuple[Model, Model]:
             for row in t.tuples
         ]
         tables.append(type(t)(t.scope, t.polarity, rows))
-    right2 = Model(right.name, renamed, tables, right.cover_seeds)
+    right2 = Model(right.name, renamed, tables)
     if rng.random() < 0.1:
         right2 = left.with_name(right.name)  # occasional self-merge pair
     return left, right2
