@@ -199,10 +199,6 @@ def _parse_assignment(literal: str, model: Model) -> Assignment:
     return Assignment.from_mapping(binding)
 
 
-def _assignment_json(a: Assignment) -> dict:
-    return a.as_dict()
-
-
 class _Out:
     def __init__(self, machine: bool):
         self.machine = machine
@@ -305,7 +301,7 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
             "model": args.model,
             "object": list(obj.names),
             "count": count,
-            "sections": None if args.count else [_assignment_json(a) for a in secs],
+            "sections": None if args.count else [a.as_dict() for a in secs],
         }
     )
     out.text(f"sections of {args.model} at {obj}: {count}")
@@ -327,9 +323,9 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     out.payload.update(
         {
             "model": args.model,
-            "assignment": _assignment_json(a),
+            "assignment": a.as_dict(),
             "target": list(target.names),
-            "extensions": [_assignment_json(b) for b in exts],
+            "extensions": [b.as_dict() for b in exts],
         }
     )
     out.text(f"extensions of {a} to {target}: {len(exts)}")
@@ -371,7 +367,7 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
         out.text(f"  {a}")
     cross = [
         (u, d.only_in_right)
-        for u, d in sorted(overlap.per_object.items(), key=lambda kv: kv[0].key())
+        for u, d in overlap.per_object.items()
         if d.only_in_right
     ]
     if cross:
@@ -382,15 +378,15 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     out.payload.update(
         {
             "result": merged.result.name,
-            "emergent": [_assignment_json(a) for a in emergent],
+            "emergent": [a.as_dict() for a in emergent],
             "cross_combinations": {
-                str(u): [_assignment_json(a) for a in extra] for u, extra in cross
+                str(u): [a.as_dict() for a in extra] for u, extra in cross
             },
         }
     )
     if out.machine:  # text output prints only the count
         gs = global_sections(p)
-        out.payload["global_sections"] = [_assignment_json(a) for a in gs]
+        out.payload["global_sections"] = [a.as_dict() for a in gs]
     if args.emit:
         _emit(merged.result, args.emit, out)
     return EXIT_OK
@@ -413,7 +409,7 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
         {
             "result": model.name,
             "skipped_scopes": [list(s.names) for s in skipped],
-            "global_sections": [_assignment_json(a) for a in gs],
+            "global_sections": [a.as_dict() for a in gs],
         }
     )
     code = EXIT_OK
@@ -443,8 +439,8 @@ def cmd_diff(ex: Execution, args, out: _Out) -> int:
     dirty = diff.dirty_objects()
     out.payload["objects"] = {
         str(u): {
-            "only_in_left": [_assignment_json(a) for a in diff.per_object[u].only_in_left],
-            "only_in_right": [_assignment_json(a) for a in diff.per_object[u].only_in_right],
+            "only_in_left": [a.as_dict() for a in diff.per_object[u].only_in_left],
+            "only_in_right": [a.as_dict() for a in diff.per_object[u].only_in_right],
         }
         for u in dirty
     }

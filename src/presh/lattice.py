@@ -163,25 +163,32 @@ class CoverFamily(Frozen):
             for i in range(len(names) - 1, -1, -1):
                 yield (Subset._trusted(names[:i] + names[i + 1 :]), v)
 
-    def supersets(self, obj: Subset) -> tuple[Subset, ...]:
-        return tuple(v for v in self.objects_sorted if obj.issubset(v))
+    def supersets(self, obj: Subset) -> Iterator[Subset]:
+        """Every object containing ``obj``, in shortlex order, generated as
+        ``obj ∪ s`` for each subset ``s`` of the features outside ``obj``.
+
+        The subsets ``s`` come in shortlex order, and adding the same ``obj``
+        to each keeps that order, so smaller supersets come first and every
+        superset of a superset comes after it.
+        """
+        names = self.require(obj).names
+        for s in _shortlex(self.universe.difference(obj).names):
+            yield Subset._trusted(tuple(sorted(names + s.names)))
 
 
-def close_family(
-    universe: Subset, *, max_universe: int = LATTICE_SIZE_BOUND
-) -> CoverFamily:
-    """The family over ``universe``, refused above ``max_universe`` features.
+def close_family(universe: Subset) -> CoverFamily:
+    """The family over ``universe``, refused above ``LATTICE_SIZE_BOUND`` features.
 
     Every family must hold the empty set, all singletons, and the universe,
     and be closed under pairwise meet and join; union-closure over the
     singletons then already yields every subset, so the result is always the
     full power set.
     """
-    if len(universe) > max_universe:
+    if len(universe) > LATTICE_SIZE_BOUND:
         raise EnumerationBoundError(
             f"family over {len(universe)} features refused",
             required=2 ** len(universe),
-            bound=2**max_universe,
+            bound=2**LATTICE_SIZE_BOUND,
         )
     return CoverFamily(universe)
 
@@ -229,9 +236,7 @@ def restriction_functor_r(v: Subset, s1: Subset) -> Subset:
     return v.intersection(s1)
 
 
-def check_adjunction_triple(
-    s1: Subset, s2: Subset, *, max_size: int = ADJUNCTION_SWEEP_BOUND
-) -> LawReport:
+def check_adjunction_triple(s1: Subset, s2: Subset) -> LawReport:
     """Verify that intersection-restriction sits between inclusion and padding.
 
     For every U ⊆ s1 and V ⊆ s2 the two Hom-set equations of the adjoint
@@ -241,18 +246,18 @@ def check_adjunction_triple(
     * V ∩ s1 ⊆ U  ⇔  V ⊆ U ∪ (s2∖s1) (restriction is left adjoint to padding)
 
     The sweep is exhaustive over both power sets and refuses above
-    ``max_size`` rather than sampling.  It runs on int bitmasks over
-    ``s2.names`` (bit i for the i-th name), so meet is ``&``, join is ``|``
-    and ``a ⊆ b`` is ``not a & ~b``; ``Subset``s serve only as witnesses,
-    in shortlex order.
+    ``ADJUNCTION_SWEEP_BOUND`` features rather than sampling.  It runs on
+    int bitmasks over ``s2.names`` (bit i for the i-th name), so meet is
+    ``&``, join is ``|`` and ``a ⊆ b`` is ``not a & ~b``; ``Subset``s serve
+    only as witnesses, in shortlex order.
     """
     if not s1.issubset(s2):
         raise MalformedInputError(f"need {s1} ⊆ {s2}")
-    if len(s2) > max_size:
+    if len(s2) > ADJUNCTION_SWEEP_BOUND:
         raise EnumerationBoundError(
             "adjunction sweep refused",
             required=4 ** len(s2),
-            bound=4**max_size,
+            bound=4**ADJUNCTION_SWEEP_BOUND,
         )
     bit = {name: 1 << i for i, name in enumerate(s2.names)}
 

@@ -22,19 +22,13 @@ correctness property of the whole package.
 from __future__ import annotations
 
 import random
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import product
 from operator import itemgetter
 
 from . import kernel
 from .errors import EnumerationBoundError, MalformedInputError
-from .lattice import (
-    LATTICE_SIZE_BOUND,
-    CoverFamily,
-    Subset,
-    check_feature_name,
-    close_family,
-)
+from .lattice import CoverFamily, Subset, check_feature_name, close_family
 from .presheaf import Assignment, AssignmentPresheaf, Fiber
 from .report import Frozen
 
@@ -168,10 +162,10 @@ class Model(Frozen):
         return Model(name, self.fibers, self.tables, self.labels)
 
 
-def family_of(model: Model, *, max_universe: int = LATTICE_SIZE_BOUND) -> CoverFamily:
+def family_of(model: Model) -> CoverFamily:
     """The model's cover family: every subset of its features (``Model``
     already rejects scopes outside them)."""
-    return close_family(model.features, max_universe=max_universe)
+    return close_family(model.features)
 
 
 def require_scope_bound(scope: Subset, fibers: Mapping[str, Fiber], what: str) -> None:
@@ -239,10 +233,10 @@ class _ObjectRows(Mapping):
     one :meth:`_CompiledModel.extend` step per feature, and keeps every
     object on the way, so a reader pays only for the prefix chains it
     touches.  Iteration and ``len`` cover every object of the family in
-    shortlex order, and membership builds nothing.  ``items`` (and so
-    ``==``) first builds whatever is missing along that order, where each
-    object's prefix object comes earlier.  A ``Subset`` outside the family
-    raises ``KeyError``.
+    shortlex order, and membership builds nothing.  ``items``, ``values``
+    and ``==`` read the objects in that order, where each object's prefix
+    object comes earlier, so every read extends an object already built by
+    one feature.  A ``Subset`` outside the family raises ``KeyError``.
     """
 
     def __init__(self, family: CoverFamily, enc: _CompiledModel):
@@ -273,15 +267,6 @@ class _ObjectRows(Mapping):
             rows = built[prefix] = tuple(self._enc.extend(rows, prefix))
         return rows
 
-    def _build_all(self) -> None:
-        built = self._built
-        objects = self._family.objects_sorted
-        if len(built) == len(objects):
-            return
-        for u in objects:
-            if u.names not in built:
-                self._build(u.names)
-
     def __iter__(self) -> Iterator[Subset]:
         return iter(self._family.objects_sorted)
 
@@ -291,25 +276,19 @@ class _ObjectRows(Mapping):
     def __contains__(self, u: object) -> bool:
         return u in self._family
 
-    def items(self) -> ItemsView:
-        self._build_all()
-        return ItemsView(self)
 
-
-def compile_model(
-    model: Model, *, max_universe: int = LATTICE_SIZE_BOUND
-) -> AssignmentPresheaf:
+def compile_model(model: Model) -> AssignmentPresheaf:
     """Compile a model into its assignment presheaf.
 
     Every family object gets the rows (value tuples) satisfying all tables
     whose scope it contains; empty section sets are valid data, not errors.
     The bounds are checked here, before any object is read: the family's
-    ``max_universe`` and each table's ``TABLE_MASK_BOUND``.  The objects
+    ``LATTICE_SIZE_BOUND`` and each table's ``TABLE_MASK_BOUND``.  The objects
     themselves are built on first read, each from its prefix object (see
     :class:`_ObjectRows`): the sections at one object cost its prefix chain,
     and a reader of every object builds each of them once.
     """
-    family = family_of(model, max_universe=max_universe)
+    family = family_of(model)
     rows = _ObjectRows(family, _CompiledModel(model))
     return AssignmentPresheaf(family, dict(model.fibers), rows)
 

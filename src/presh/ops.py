@@ -20,7 +20,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import MalformedInputError
-from .lattice import Subset, check_feature_name
+from .lattice import Subset, check_feature_name, restrict_family
 from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
 from .presheaf import Assignment, AssignmentPresheaf, Fiber, decode, row_projection
 from .report import Frozen, LawReport, Violation
@@ -326,16 +326,14 @@ def overlap_union_report(
 ) -> DiffReport:
     """Compare the literal section union with the amalgam on the overlap.
 
-    For every object inside the shared feature set, the union of the two
-    compiled sources' section sets is matched against the compiled
-    amalgam; entries only on the right are cross-combinations the merge
-    admits even though neither source listed them.
+    For every object inside the shared feature set, in shortlex order, the
+    union of the two compiled sources' section sets is matched against the
+    compiled amalgam; entries only on the right are cross-combinations the
+    merge admits even though neither source listed them.
     """
     overlap = p_left.family.universe.intersection(p_right.family.universe)
     per_object: dict[Subset, ObjectDiff] = {}
-    for u in p_merged.family.objects_sorted:
-        if not u.issubset(overlap):
-            continue
+    for u in restrict_family(p_merged.family, overlap).objects_sorted:
         literal = set(p_left.rows[u]).union(p_right.rows[u])
         per_object[u] = _object_diff(u, literal, set(p_merged.rows[u]))
     return DiffReport(per_object)
@@ -415,7 +413,8 @@ def transfer(
     The result has the identification's target fibers; each source table
     whose scope is fully covered by the identification becomes its preimage
     (a row is admitted exactly when its value-mapped image is), and scopes
-    touching unmapped source features are skipped and reported.
+    touching unmapped source features are skipped and reported, once each,
+    in shortlex order (the order ``Model`` keeps its tables in).
     """
     _validate_identification(h, source)
     fibers = h.target_fibers()
@@ -437,7 +436,7 @@ def transfer(
                 rows.append(combo)
         tables.append(ConstraintTable(tgt_scope, table.polarity, rows))
     out = Model(name or f"{h.name}_{source.name}", list(fibers.values()), tables)
-    return out, tuple(sorted(set(skipped), key=Subset.key))
+    return out, tuple(dict.fromkeys(skipped))
 
 
 def analogy_check(

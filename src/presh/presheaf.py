@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import EnumerationBoundError, MalformedInputError
-from .lattice import CoverFamily, Subset, check_feature_name, close_family
+from .lattice import CoverFamily, Subset, _shortlex, check_feature_name, close_family
 from .report import Frozen, LawReport, Violation
 
 #: Refuse natural-transformation enumerations with more raw candidates than this.
@@ -269,73 +269,75 @@ Presheaf = Union[AssignmentPresheaf, AbstractPresheaf]
 
 
 def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
-    violations: list[Violation] = []
-    # Assignment objects are built just for witnesses
+    """Fiber typing and restriction closure in one shortlex pass.
+
+    Typing (sections present, no duplicates, arities, fiber values) is
+    checked at every object.  Closure is judged along the cover pairs of the
+    family poset, which implies closure along every inclusion (projections
+    compose), so checking covers is a complete violation detector and
+    pinpoints the minimal broken step.  Every object's covers lie below it
+    and so come earlier in shortlex, where their rows are already at hand.
+    Closure is only judged while no typing violation has been seen: a
+    presheaf with typing violations is reported by those alone.
+    """
+    typing: list[Violation] = []
+    closure: list[Violation] = []
     fiber_values = {f: set(fib.values) for f, fib in p.fibers.items()}
-    stored_at = dict(p.rows.items())
     tuple_sets: dict[tuple[str, ...], frozenset[tuple[str, ...]]] = {}
+    # Dropping position i of a k-feature row is the same map at every
+    # object, and rows are walked one by one only where a drop fails.
+    drops: dict[tuple[int, int], Callable[[tuple], tuple]] = {}
     for u in p.family.objects_sorted:
-        stored = stored_at.get(u)
+        stored = p.rows.get(u)
+        names = u.names
         if stored is None:
-            violations.append(Violation("sections-missing", f"no sections at {u}", (u,)))
-            tuple_sets[u.names] = frozenset()
+            typing.append(Violation("sections-missing", f"no sections at {u}", (u,)))
+            tuple_sets[names] = frozenset()
             continue
         rows = frozenset(stored)
         if len(rows) != len(stored):
-            violations.append(Violation("duplicate-section", f"repeated assignment at {u}", (u,)))
-        ulen = len(u.names)
-        ragged = [row for row in rows if len(row) != ulen]
+            typing.append(Violation("duplicate-section", f"repeated assignment at {u}", (u,)))
+        k = len(names)
+        ragged = [row for row in rows if len(row) != k]
         for row in ragged:
-            violations.append(
+            typing.append(
                 Violation("domain-mismatch", f"arity {len(row)} row at {u}", (u, row))
             )
-        well = rows if not ragged else [r for r in rows if len(r) == ulen]
-        for f, column in zip(u.names, zip(*well)):
+        well = rows if not ragged else [r for r in rows if len(r) == k]
+        for f, column in zip(names, zip(*well)):
             allowed = fiber_values.get(f)
             used = set(column)
             if allowed is None or not used <= allowed:
                 for v in sorted(used - (allowed or set())):
-                    violations.append(
+                    typing.append(
                         Violation("fiber-typing", f"{f}={v} outside the fiber", (u, v))
                     )
-        tuple_sets[u.names] = rows
-    if violations:
-        return LawReport(tuple(violations))
-    # Closure along the cover pairs of the family poset implies closure along
-    # every inclusion (projections compose), so checking covers is a complete
-    # violation detector and pinpoints the minimal broken step.  Covers come
-    # in ``CoverFamily.covers`` order: each v's single-feature drops, last
-    # feature first.  Dropping position i of a k-feature row is the same map
-    # at every object, and rows are walked one by one only where a drop fails.
-    drops: dict[tuple[int, int], Callable[[tuple], tuple]] = {}
-    for v in p.family.objects_sorted:
-        stored = stored_at[v]
-        if not stored:
+        tuple_sets[names] = rows
+        if typing or not stored:
             continue
-        names = v.names
-        k = len(names)
+        # the covers below u, in ``CoverFamily.covers`` order: last feature first
         for i in range(k - 1, -1, -1):
             project = drops.get((k, i))
             if project is None:
                 kept = tuple(range(i)) + tuple(range(i + 1, k))
                 project = drops[(k, i)] = _projection(kept)
-            u_names = names[:i] + names[i + 1 :]
-            at_u = tuple_sets[u_names]
-            if at_u.issuperset(map(project, stored)):
+            below_names = names[:i] + names[i + 1 :]
+            at_below = tuple_sets[below_names]
+            if at_below.issuperset(map(project, stored)):
                 continue
-            u = Subset._trusted(u_names)
+            below = Subset._trusted(below_names)
             for row in stored:
                 projected = project(row)
-                if projected not in at_u:
-                    b, witness = Assignment(v, row), Assignment(u, projected)
-                    violations.append(
+                if projected not in at_below:
+                    b, witness = Assignment(u, row), Assignment(below, projected)
+                    closure.append(
                         Violation(
                             "restriction-closure",
-                            f"{b} at {v} projects to {witness}, absent at {u}",
-                            (u, v, b),
+                            f"{b} at {u} projects to {witness}, absent at {below}",
+                            (below, u, b),
                         )
                     )
-    return LawReport(tuple(violations))
+    return LawReport(tuple(typing or closure))
 
 
 def _validate_abstract(p: AbstractPresheaf) -> LawReport:
@@ -368,27 +370,22 @@ def _validate_abstract(p: AbstractPresheaf) -> LawReport:
             )
     if violations:
         return LawReport(tuple(violations))
-    objs = p.family.objects_sorted
-    for w in objs:
-        for v in objs:
-            if not v.issubset(w):
-                continue
-            for u in objs:
-                if not u.issubset(v):
-                    continue
-                direct = p.restrictions[(u, w)]
-                via = p.restrictions[(u, v)]
-                first = p.restrictions[(v, w)]
-                for x in p.elements[w]:
-                    if via[first[x]] != direct[x]:
-                        violations.append(
-                            Violation(
-                                "functoriality",
-                                f"restriction of {x!r} along {u} ⊆ {v} ⊆ {w} "
-                                "disagrees with the direct map",
-                                (u, v, w, x),
-                            )
+    # every chain u ⊆ v ⊆ w: w in shortlex, then v and u over its subsets
+    for v, w in p.family.inclusions():
+        first = p.restrictions[(v, w)]
+        for u in _shortlex(v.names):
+            direct = p.restrictions[(u, w)]
+            via = p.restrictions[(u, v)]
+            for x in p.elements[w]:
+                if via[first[x]] != direct[x]:
+                    violations.append(
+                        Violation(
+                            "functoriality",
+                            f"restriction of {x!r} along {u} ⊆ {v} ⊆ {w} "
+                            "disagrees with the direct map",
+                            (u, v, w, x),
                         )
+                    )
     return LawReport(tuple(violations))
 
 
@@ -467,23 +464,22 @@ def extensions(
 
 
 def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
-    """Inclusion-minimal objects above ``a``'s domain on which ``a`` has no extension.
+    """Inclusion-minimal objects above ``a``'s domain on which ``a`` has no
+    extension, in shortlex order.
 
     Empty result means the section extends to every superset object; each
     returned object names a scope whose constraints rule the section out.
+    The supersets are walked once, by size (``CoverFamily.supersets``), and
+    one that contains a scope already found blocking is skipped without
+    reading its rows.  Every object below a superset comes before it, so
+    what is left blocked is minimal, whether or not ``p`` is closed.
     """
     _require_local_section(p, a)
-    blocked = [
-        w
-        for w in p.family.supersets(a.domain)
-        if not _extending_rows(p, a, w)
-    ]
-    minimal = [
-        w
-        for w in blocked
-        if not any(o != w and o.issubset(w) for o in blocked)
-    ]
-    return tuple(sorted(minimal, key=Subset.key))
+    blocked: list[Subset] = []
+    for w in p.family.supersets(a.domain):
+        if not any(b.issubset(w) for b in blocked) and not _extending_rows(p, a, w):
+            blocked.append(w)
+    return tuple(blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +530,7 @@ def nat_transformations(
             "natural-transformation search refused", required=raw, bound=max_candidates
         )
 
-    order = sorted(needed, key=Subset.key, reverse=True)
+    order = needed[::-1]
     results: list[NatTransformation] = []
     chosen: dict[Subset, dict[str, str]] = {}
 

@@ -27,7 +27,12 @@ from presh.presheaf import (
     yoneda_check,
 )
 
-from util import one_step_projection_fixpoint, reference_validate_assignment
+from util import (
+    one_step_projection_fixpoint,
+    reference_blocking_sets,
+    reference_validate_abstract,
+    reference_validate_assignment,
+)
 
 
 def S(*names):
@@ -183,6 +188,80 @@ class TestValidateLaws:
         )
         assert any(v.law == "missing-map" for v in validate_laws(p).violations)
 
+    def test_abstract_matches_reference_on_broken_presheaves(self):
+        # each seed breaks a lawful random presheaf in one of six ways
+        breaks = ("elements", "map", "total", "leaves", "identity", "composite")
+        laws, details, broken_by = set(), set(), set()
+        for seed in range(90):
+            rng = random.Random(seed)
+            fam = close_family(Subset(f"g{i}" for i in range(rng.randint(1, 3))))
+            p = random_abstract_presheaf(seed, fam)
+            assert validate_laws(p) == reference_validate_abstract(p)
+            kind = breaks[seed % len(breaks)]
+            broken = _break_abstract(rng, p, kind)
+            if broken is None:
+                continue
+            report = validate_laws(broken)
+            assert not report.passed, (seed, kind)
+            assert report == reference_validate_abstract(broken), (seed, kind)
+            broken_by.add(kind)
+            laws.update(v.law for v in report.violations)
+            details.update(v.detail for v in report.violations if v.law == "map-typing")
+        assert broken_by == set(breaks)
+        assert laws == {
+            "elements-missing",
+            "missing-map",
+            "map-typing",
+            "identity",
+            "functoriality",
+        }
+        for ending in ("not total on elements", "leaves elements"):
+            assert any(d.endswith(ending) for d in details), ending
+
+
+def _break_abstract(rng, p, kind):
+    """``p`` with one law broken in the way ``kind`` names, or None when
+    ``p`` has no place to break it that way."""
+    elements = dict(p.elements)
+    restrictions = {key: dict(m) for key, m in p.restrictions.items()}
+    pairs = list(p.family.inclusions())
+    if kind == "elements":
+        del elements[rng.choice(p.family.objects_sorted)]
+    elif kind == "map":
+        del restrictions[rng.choice(pairs)]
+    elif kind in ("total", "leaves"):
+        inhabited = [(u, v) for u, v in pairs if elements[v]]
+        if not inhabited:
+            return None
+        m = restrictions[rng.choice(inhabited)]
+        x = rng.choice(sorted(m))
+        if kind == "total":
+            del m[x]
+        else:
+            m[x] = "stray"
+    elif kind == "identity":
+        crowded = [u for u in p.family.objects_sorted if len(elements[u]) > 1]
+        if not crowded:
+            return None
+        u = rng.choice(crowded)
+        xs = elements[u]
+        restrictions[(u, u)] = dict(zip(xs, xs[1:] + xs[:1]))
+    else:
+        # a direct map two or more features down that disagrees with the
+        # two-step paths through the objects in between
+        spans = [
+            (u, w)
+            for u, w in pairs
+            if len(w) - len(u) > 1 and elements[w] and len(elements[u]) > 1
+        ]
+        if not spans:
+            return None
+        u, w = rng.choice(spans)
+        m = restrictions[(u, w)]
+        x = rng.choice(sorted(m))
+        m[x] = rng.choice([y for y in elements[u] if y != m[x]])
+    return AbstractPresheaf(p.family, elements, restrictions)
+
 
 class TestClosureComplete:
     def test_already_closed_is_fixed_point(self):
@@ -311,6 +390,38 @@ class TestSections:
                     for w in blocks:
                         for o in blocks:
                             assert w == o or not o.issubset(w)
+
+    def test_blocking_sets_match_reference(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            p = compile_model(random_model(seed, max_features=5))
+            # an unclosed variant: rows dropped at objects of two or more features
+            holes = {
+                u: tuple(r for r in stored if len(u) < 2 or rng.random() > 0.3)
+                for u, stored in p.rows.items()
+            }
+            unclosed = AssignmentPresheaf(p.family, p.fibers, holes)
+            for q in (p, unclosed):
+                for u in q.family.objects_sorted:
+                    for a in q.sections_at(u)[:2]:
+                        want = reference_blocking_sets(q, a)
+                        assert blocking_sets(q, a) == want, (seed, a)
+
+    def test_blocking_sets_skip_supersets_of_a_found_scope(self):
+        # on a fresh compile, an object is built only when read: none of
+        # those read may strictly contain a scope already found blocking
+        skipped = 0
+        for seed in range(40):
+            model = random_model(seed, max_features=5)
+            for u in close_family(model.features).objects_sorted[1:]:
+                p = compile_model(model)
+                for a in p.sections_at(u)[:1]:
+                    blocks = blocking_sets(p, a)
+                    for names in p.rows._built:
+                        built = set(names)
+                        assert not any(set(w.names) < built for w in blocks), (seed, a)
+                    skipped += sum(len(w) < len(p.family.universe) for w in blocks)
+        assert skipped
 
     def test_global_sections_project_into_all_objects(self):
         for seed in (4, 19):

@@ -12,6 +12,7 @@ from presh.lattice import ADJUNCTION_SWEEP_BOUND, Subset
 from presh.model import Model, random_model
 from presh.ops import FeatureIdentification
 from presh.presheaf import (
+    AbstractPresheaf,
     Assignment,
     AssignmentPresheaf,
     Fiber,
@@ -144,6 +145,83 @@ def reference_validate_assignment(p: AssignmentPresheaf) -> LawReport:
                         (u, v, b),
                     )
                 )
+    return LawReport(tuple(violations))
+
+
+def reference_blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
+    """Every object of the family filtered for the supersets of ``a``'s
+    domain where ``a`` does not extend, cut to the inclusion-minimal ones and
+    sorted shortlex; kept to check ``blocking_sets`` against."""
+    if a.values not in p.rows[a.domain]:
+        raise MalformedInputError(f"{a} is not a local section at {a.domain}")
+    blocked = [
+        w
+        for w in p.family.objects_sorted
+        if a.domain.issubset(w)
+        and not any(restrict_assignment(b, a.domain) == a for b in p.sections_at(w))
+    ]
+    minimal = [
+        w for w in blocked if not any(o != w and o.issubset(w) for o in blocked)
+    ]
+    return tuple(sorted(minimal, key=Subset.key))
+
+
+def reference_validate_abstract(p: AbstractPresheaf) -> LawReport:
+    """Totality, identity and functoriality of an abstract presheaf's maps,
+    the last over every triple of objects filtered for u ⊆ v ⊆ w; kept to
+    check ``validate_laws`` against, witnesses and their order included."""
+    violations: list[Violation] = []
+    objs = p.family.objects_sorted
+    for u in objs:
+        if u not in p.elements:
+            violations.append(Violation("elements-missing", f"no elements at {u}", (u,)))
+    if violations:
+        return LawReport(tuple(violations))
+    for v in objs:
+        for u in objs:
+            if not u.issubset(v):
+                continue
+            m = p.restrictions.get((u, v))
+            if m is None:
+                violations.append(
+                    Violation("missing-map", f"no restriction map for {u} ⊆ {v}", (u, v))
+                )
+            elif set(m) != set(p.elements[v]):
+                violations.append(
+                    Violation("map-typing", f"map {u} ⊆ {v} not total on elements", (u, v))
+                )
+            elif any(img not in p.elements[u] for img in m.values()):
+                violations.append(
+                    Violation("map-typing", f"map {u} ⊆ {v} leaves elements", (u, v))
+                )
+            elif u == v and any(m[x] != x for x in p.elements[u]):
+                violations.append(
+                    Violation(
+                        "identity", f"restriction along {u} ⊆ {u} is not identity", (u,)
+                    )
+                )
+    if violations:
+        return LawReport(tuple(violations))
+    for w in objs:
+        for v in objs:
+            if not v.issubset(w):
+                continue
+            for u in objs:
+                if not u.issubset(v):
+                    continue
+                direct = p.restrictions[(u, w)]
+                via = p.restrictions[(u, v)]
+                first = p.restrictions[(v, w)]
+                for x in p.elements[w]:
+                    if via[first[x]] != direct[x]:
+                        violations.append(
+                            Violation(
+                                "functoriality",
+                                f"restriction of {x!r} along {u} ⊆ {v} ⊆ {w} "
+                                "disagrees with the direct map",
+                                (u, v, w, x),
+                            )
+                        )
     return LawReport(tuple(violations))
 
 
