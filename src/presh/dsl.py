@@ -46,10 +46,7 @@ class SourceSpan(Frozen):
     _fields = ("line", "column", "length")
     line: int
     column: int
-    length: int
-
-    def __init__(self, line: int, column: int, length: int = 1):
-        self._freeze(line=line, column=column, length=length)
+    length: int = 1
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -84,18 +81,12 @@ class IdentificationDecl(Frozen):
     target_name: str
     source_name: str
 
-    def __init__(self, ident: FeatureIdentification, target_name: str, source_name: str):
-        self._freeze(ident=ident, target_name=target_name, source_name=source_name)
-
 
 class MergeDirective(Frozen):
     _fields = ("result", "left", "right")
     result: str
     left: str
     right: str
-
-    def __init__(self, result: str, left: str, right: str):
-        self._freeze(result=result, left=left, right=right)
 
 
 class TransferDirective(Frozen):
@@ -104,16 +95,10 @@ class TransferDirective(Frozen):
     identification: str
     source: str
 
-    def __init__(self, result: str, identification: str, source: str):
-        self._freeze(result=result, identification=identification, source=source)
-
 
 class CheckDirective(Frozen):
     _fields = ("target",)
     target: str
-
-    def __init__(self, target: str):
-        self._freeze(target=target)
 
 
 Directive = Union[MergeDirective, TransferDirective, CheckDirective]
@@ -125,9 +110,6 @@ class Workspace(Frozen):
 
     _fields = ("items",)
     items: tuple[WorkspaceItem, ...]
-
-    def __init__(self, items: tuple[WorkspaceItem, ...]):
-        self._freeze(items=items)
 
     @cached_property
     def models(self) -> dict[str, Model]:

@@ -127,9 +127,6 @@ class CoverFamily(Frozen):
     _fields = ("universe",)
     universe: Subset
 
-    def __init__(self, universe: Subset):
-        self._freeze(universe=universe)
-
     @cached_property
     def objects_sorted(self) -> tuple[Subset, ...]:
         return tuple(_shortlex(self.universe.names))

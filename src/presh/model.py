@@ -143,11 +143,11 @@ class Model(Frozen):
                 raise MalformedInputError(
                     f"label {key!r} names no feature or feature value"
                 )
-        self._freeze(
-            name=name,
-            fibers=dict(seen),
-            tables=tuple(sorted(set(tables), key=ConstraintTable.sort_key)),
-            labels=dict(labels),
+        super().__init__(
+            name,
+            dict(seen),
+            tuple(sorted(set(tables), key=ConstraintTable.sort_key)),
+            dict(labels),
         )
 
     @property

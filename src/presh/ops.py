@@ -65,7 +65,7 @@ class FeatureIdentification(Frozen):
                 raise MalformedInputError(
                     f"identification {name!r} has an empty value map for {tgt!r}"
                 )
-        self._freeze(name=name, feature_map=feature_map, value_maps=value_maps)
+        super().__init__(name, feature_map, value_maps)
 
     def target_fibers(self) -> dict[str, Fiber]:
         return {t: Fiber(t, tuple(vmap)) for t, vmap in self.value_maps.items()}
@@ -81,22 +81,6 @@ class SharedFiber(Frozen):
     added_from_right: tuple[str, ...]
     reordered: bool
 
-    def __init__(
-        self,
-        feature: str,
-        left_values: tuple[str, ...],
-        right_values: tuple[str, ...],
-        added_from_right: tuple[str, ...],
-        reordered: bool,
-    ):
-        self._freeze(
-            feature=feature,
-            left_values=left_values,
-            right_values=right_values,
-            added_from_right=added_from_right,
-            reordered=reordered,
-        )
-
 
 class GuardedTable(Frozen):
     """Merge provenance for one imported table."""
@@ -107,22 +91,12 @@ class GuardedTable(Frozen):
     imported: ConstraintTable
     guarded: bool
 
-    def __init__(
-        self, source: str, original: ConstraintTable, imported: ConstraintTable, guarded: bool
-    ):
-        self._freeze(source=source, original=original, imported=imported, guarded=guarded)
-
 
 class MergedModel(Frozen):
     _fields = ("result", "shared", "tables")
     result: Model
     shared: tuple[SharedFiber, ...]
     tables: tuple[GuardedTable, ...]
-
-    def __init__(
-        self, result: Model, shared: tuple[SharedFiber, ...], tables: tuple[GuardedTable, ...]
-    ):
-        self._freeze(result=result, shared=shared, tables=tables)
 
 
 class ObjectDiff(Frozen):
@@ -146,16 +120,15 @@ class DiffReport(Frozen):
     _fields = ("per_object",)
     per_object: Mapping[Subset, ObjectDiff]
 
-    def __init__(self, per_object: Mapping[Subset, ObjectDiff]):
-        self._freeze(per_object=per_object)
-
     @property
     def is_empty(self) -> bool:
         return all(d.clean for d in self.per_object.values())
 
     def dirty_objects(self) -> tuple[Subset, ...]:
-        dirty = (u for u, d in self.per_object.items() if not d.clean)
-        return tuple(sorted(dirty, key=Subset.key))
+        """The objects whose sections differ, in ``per_object`` order (shortlex
+        for the reports :func:`diff_presheaves` and
+        :func:`overlap_union_report` build)."""
+        return tuple(u for u, d in self.per_object.items() if not d.clean)
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +160,9 @@ def add_feature(model: Model, fiber: Fiber) -> Model:
 
 class RemovalReport(Frozen):
     _fields = ("projected", "dropped_forbid", "dropped_empty")
-    projected: tuple[ConstraintTable, ...]
-    dropped_forbid: tuple[ConstraintTable, ...]
-    dropped_empty: tuple[ConstraintTable, ...]
-
-    def __init__(
-        self,
-        projected: tuple[ConstraintTable, ...] = (),
-        dropped_forbid: tuple[ConstraintTable, ...] = (),
-        dropped_empty: tuple[ConstraintTable, ...] = (),
-    ):
-        self._freeze(
-            projected=projected, dropped_forbid=dropped_forbid, dropped_empty=dropped_empty
-        )
+    projected: tuple[ConstraintTable, ...] = ()
+    dropped_forbid: tuple[ConstraintTable, ...] = ()
+    dropped_empty: tuple[ConstraintTable, ...] = ()
 
 
 def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:

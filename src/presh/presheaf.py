@@ -55,7 +55,7 @@ class Fiber(Frozen):
             raise MalformedInputError(f"fiber of {feature!r} repeats a value")
         for v in values:
             check_feature_name(v)
-        self._freeze(feature=feature, values=values)
+        super().__init__(feature, values)
 
     def __eq__(self, other: object):
         if other.__class__ is Fiber:
@@ -194,14 +194,6 @@ class AssignmentPresheaf(Frozen):
     fibers: Mapping[str, Fiber]
     rows: Mapping[Subset, tuple[tuple[str, ...], ...]]
 
-    def __init__(
-        self,
-        family: CoverFamily,
-        fibers: Mapping[str, Fiber],
-        rows: Mapping[Subset, tuple[tuple[str, ...], ...]],
-    ):
-        self._freeze(family=family, fibers=fibers, rows=rows)
-
     def sections_at(self, u: Subset) -> tuple[Assignment, ...]:
         self.family.require(u)
         return decode(u, self.rows[u])
@@ -236,14 +228,6 @@ class AbstractPresheaf(Frozen):
     elements: Mapping[Subset, tuple[str, ...]]
     restrictions: Mapping[tuple[Subset, Subset], Mapping[str, str]]
 
-    def __init__(
-        self,
-        family: CoverFamily,
-        elements: Mapping[Subset, tuple[str, ...]],
-        restrictions: Mapping[tuple[Subset, Subset], Mapping[str, str]],
-    ):
-        self._freeze(family=family, elements=elements, restrictions=restrictions)
-
     def restrict(self, x: str, v: Subset, u: Subset) -> str:
         return self.restrictions[(u, v)][x]
 
@@ -253,9 +237,6 @@ class NatTransformation(Frozen):
 
     _fields = ("components",)
     components: Mapping[Subset, Mapping[str, str]]
-
-    def __init__(self, components: Mapping[Subset, Mapping[str, str]]):
-        self._freeze(components=components)
 
     def at(self, u: Subset) -> Mapping[str, str]:
         return self.components[u]
@@ -535,15 +516,13 @@ def nat_transformations(
     chosen: dict[Subset, dict[str, str]] = {}
 
     def commutes(d: Subset, comp: dict[str, str]) -> bool:
+        # Every chosen object comes after ``d`` in shortlex order, so none is
+        # a proper subset of ``d``: only restrictions from supersets apply.
         for e, emap in chosen.items():
-            if d.issubset(e):
-                u, v, lower, upper = d, e, comp, emap
-            elif e.issubset(d):
-                u, v, lower, upper = e, d, emap, comp
-            else:
+            if not d.issubset(e):
                 continue
-            for x in fsrc.elements[v]:
-                if lower[fsrc.restrict(x, v, u)] != gtgt.restrict(upper[x], v, u):
+            for x in fsrc.elements[e]:
+                if comp[fsrc.restrict(x, e, d)] != gtgt.restrict(emap[x], e, d):
                     return False
         return True
 

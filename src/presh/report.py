@@ -1,10 +1,12 @@
 """Law-check reports: a pass flag plus a witness for every violation.
 
 Also home to :class:`Record` and :class:`Frozen`, the small bases of
-presh's value types.  Each type lists its fields in ``_fields`` and writes
-its own ``__init__``; the bases give it field-tuple equality and a
-``Type(field=value, ...)`` repr, and :class:`Frozen` makes the fields
-read-only after ``__init__``.
+presh's value types.  Each type lists its fields in ``_fields``; the bases
+give it field-tuple equality and a ``Type(field=value, ...)`` repr.
+:class:`Frozen` adds the one constructor, which binds arguments to
+``_fields`` as a ``def`` with those parameters would (a class attribute
+named like a field is its default), and makes the fields read-only.  A
+type that validates checks its arguments, then calls ``super().__init__``.
 """
 
 from __future__ import annotations
@@ -30,14 +32,41 @@ class Record:
 
 
 class Frozen(Record):
-    """A record whose fields are set once, through :meth:`_freeze`, and are
+    """A record whose fields are set once, by :meth:`__init__`, and are
     hashed as a tuple (so a record holding a dict is unhashable)."""
 
     __slots__ = ()
 
-    def _freeze(self, **fields: object) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         # for records with a __dict__; types with __slots__ use object.__setattr__
-        self.__dict__.update(fields)
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # Copied in from a whole dict, the instance dict shares no keys with
+        # the class, which CPython 3.11 reads about twice as fast as a dict
+        # filled one key at a time.
+        self.__dict__.update(dict(zip(fields, args)))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in ``_fields`` order, or the ``TypeError`` a
+        ``def`` with those parameters would raise."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        for field in fields:
+            if field not in values:
+                if field not in cls.__dict__:
+                    raise TypeError(f"{name}() missing argument {field!r}")
+                values[field] = cls.__dict__[field]
+        return [values[f] for f in fields]
 
     def __hash__(self) -> int:
         return hash(self._astuple())
@@ -51,9 +80,9 @@ class Frozen(Record):
 
 class Violation(Frozen):
     _fields = ("law", "detail", "witness")
-
-    def __init__(self, law: str, detail: str, witness: tuple = ()):
-        self._freeze(law=law, detail=detail, witness=witness)
+    law: str
+    detail: str
+    witness: tuple = ()
 
     def __str__(self) -> str:
         return f"{self.law}: {self.detail}"
@@ -61,9 +90,7 @@ class Violation(Frozen):
 
 class LawReport(Frozen):
     _fields = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...] = ()):
-        self._freeze(violations=violations)
+    violations: tuple[Violation, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -717,6 +717,75 @@ def test_emitted_model_matches_golden(capsys, hub_path, tmp_path, case):
     assert target.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
 
 
+
+class TestLessTravelledPaths:
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("film", "error: bad assignment literal 'film', need f=v\n"),
+            ("nope=x", "error: unknown feature 'nope'\n"),
+            (
+                "film=prof_and_amateur,film=prof_and_amateur",
+                "error: feature 'film' bound twice\n",
+            ),
+        ],
+        ids=["no-equals", "unknown-feature", "bound-twice"],
+    )
+    def test_extend_rejects_a_bad_literal(self, capsys, hub_path, literal, message):
+        code, out, err = run(
+            capsys, "--workspace", hub_path, "extend", "Camcorder", literal
+        )
+        assert (code, out, err) == (2, "", message)
+
+    def test_transfer_along_an_unknown_identification_is_2(self, capsys, hub_path):
+        code, out, err = run(capsys, "--workspace", hub_path, "transfer", "nosuch", "PC")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown identification 'nosuch'\n"
+
+    def test_transfer_lists_each_skipped_table_scope(self, capsys, tmp_path):
+        ws = tmp_path / "skip.pshw"
+        ws.write_text(
+            "format 1\n\nmodel S\nfeature f: a | b\nfeature g: x | y\n"
+            "forbid (f, g): (a, x)\n\nmodel T\nfeature t: a | b\n\n"
+            "identify h: T -> S {\n  feature t -> f {\n    a -> a\n    b -> b\n"
+            "  }\n}\n"
+        )
+        code, out, _ = run(capsys, "--workspace", str(ws), "transfer", "h", "S")
+        assert code == 0
+        assert out.splitlines() == [
+            "transfer h_S = h of S",
+            "  skipped table scope {f,g} (unmapped features)",
+            "global sections: 2",
+            "  t=a",
+            "  t=b",
+            "analogy against T: ok",
+        ]
+
+    def test_diff_marks_sections_only_on_the_left(self, capsys, hub_path):
+        code, out, _ = run(capsys, "--workspace", hub_path, "diff", "IMovieHub", "Camcorder")
+        assert code == 0
+        # the golden diff the other way round, with every row on the other side
+        golden = (GOLDEN_CLI / "hub-diff.text.txt").read_text(encoding="utf-8")
+        rows = [line for line in golden.splitlines() if line.startswith("  ")]
+        assert rows and all(": > " in line for line in rows)
+        assert out.splitlines() == ["IMovieHub vs Camcorder:"] + [
+            line.replace(": > ", ": < ") for line in rows
+        ]
+
+    def test_workspace_renders_only_as_dot(self, capsys, hub_path):
+        code, out, err = run(
+            capsys, "--workspace", hub_path, "render", "workspace", "canvas"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the workspace graph only renders as dot\n"
+
+    def test_canvas_without_global_sections_says_none(self, capsys, tmp_path):
+        empty = tmp_path / "empty.psh"
+        empty.write_text("model N\nfeature a: x | y\nforbid (a): (x), (y)\n")
+        code, out, _ = run(capsys, "--workspace", str(empty), "render", "N", "canvas")
+        assert code == 0
+        assert out.endswith("sections:\n  (none)\n")
+
 if __name__ == "__main__":
     GOLDEN_CLI.mkdir(exist_ok=True)
     for case, (workspace, *command) in CLI_CASES.items():

@@ -4,7 +4,9 @@ from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset
 from presh.model import ConstraintTable, Model, compile_model, oracle_sections
 from presh.ops import (
+    DiffReport,
     FeatureIdentification,
+    ObjectDiff,
     add_feature,
     amalgamate,
     analogy_check,
@@ -23,6 +25,7 @@ from presh.presheaf import (
     restrict_assignment,
     validate_laws,
 )
+from presh.report import Violation
 
 from util import (
     random_identification,
@@ -501,8 +504,35 @@ class TestAnalogyCheck:
         report = analogy_check(compile_model(transferred), compile_model(org_model))
         assert any(v.law == "analogy-feature-set" for v in report.violations)
 
+    def test_fiber_value_set_mismatch_reported(self):
+        transferred = Model("T", [Fiber("e", ("q", "d"))])
+        target = Model("T", [Fiber("e", ("q", "x"))])
+        report = analogy_check(compile_model(transferred), compile_model(target))
+        assert report.violations[0] == Violation(
+            "analogy-fibers", "fiber of 'e' differs: ('q', 'd') vs ('q', 'x')", ("e",)
+        )
+        assert [str(v) for v in report.violations[1:]] == [
+            "analogy-sections: e=x at {e} only in the target",
+            "analogy-sections: e=d at {e} only in the transfer",
+        ]
+
+    def test_section_only_in_the_target_reported(self):
+        fibers = [Fiber("e", ("q", "d"))]
+        transferred = Model("T", fibers, [ConstraintTable(S("e"), "forbid", [("q",)])])
+        report = analogy_check(compile_model(transferred), compile_model(Model("T", fibers)))
+        assert report.violations == (
+            Violation(
+                "analogy-sections", "e=q at {e} only in the target", (S("e"), A(e="q"))
+            ),
+        )
+
 
 class TestDiff:
     def test_self_diff_empty(self, org_model):
         p = compile_model(org_model)
         assert diff_presheaves(p, p).is_empty
+
+    def test_dirty_objects_keep_per_object_order(self):
+        dirty = ObjectDiff((A(a="x"),), ())
+        report = DiffReport({S("b"): dirty, S(): ObjectDiff((), ()), S("a"): dirty})
+        assert report.dirty_objects() == (S("b"), S("a"))
