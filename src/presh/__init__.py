@@ -43,6 +43,7 @@ from .ops import (
     extend_fiber,
     add_feature,
     overlap_union_report,
+    pin,
     remove_feature,
     transfer,
 )

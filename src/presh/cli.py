@@ -37,6 +37,7 @@ from .ops import (
     diff_presheaves,
     emergent_sections,
     overlap_union_report,
+    pin,
     transfer,
 )
 from .presheaf import (
@@ -312,13 +313,17 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
 
 def cmd_extend(ex: Execution, args, out: _Out) -> int:
     model = ex.artifact(args.model)
-    p = ex.compile(model)
+    # refuses on the whole model's estimate, before any object is read
+    universe = ex.compile(model).family.universe
     a = _parse_assignment(args.assignment, model)
     target = (
         _parse_object_spec(args.target, model)
         if args.target is not None
-        else p.family.universe
+        else universe
     )
+    # above a's domain the pinned model's rows are a's extensions, so the
+    # kernel enumerates no row that disagrees with a
+    p = ex.compile(pin(model, a))
     exts = extensions(p, a, target)
     out.payload.update(
         {

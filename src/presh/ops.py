@@ -203,6 +203,40 @@ def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:
     return out, RemovalReport(tuple(projected), tuple(dropped_forbid), tuple(dropped_empty))
 
 
+def pin(model: Model, a: Assignment) -> Model:
+    """The model conditioned on ``a``: each fiber of ``a.domain`` keeps only
+    ``a``'s value, and each table only the rows that agree with ``a`` on the
+    pinned features of its scope.
+
+    Compiled, its rows at every object containing ``a.domain`` are exactly
+    the extensions of ``a`` there, in the same canonical order; at
+    ``a.domain`` itself they are ``a.values`` when ``a`` is a local section
+    and nothing otherwise.  The result keeps the name and drops the labels
+    (they may name values pinned away).  The empty assignment gives a model
+    of equal fibers and tables.
+    """
+    value = a.as_dict()
+    for f, v in value.items():
+        fib = model.fibers.get(f)
+        if fib is None:
+            raise MalformedInputError(f"unknown feature {f!r}")
+        if v not in fib:
+            raise MalformedInputError(f"{v!r} is not a value of {f!r}")
+    fibers = [
+        Fiber(f, (value[f],)) if f in value else fib for f, fib in model.fibers.items()
+    ]
+    tables = []
+    for table in model.tables:
+        common = table.scope.intersection(a.domain)
+        if len(common):
+            want = row_projection(a.domain, common)(a.values)
+            agrees = row_projection(table.scope, common)
+            rows = [row for row in table.tuples if agrees(row) == want]
+            table = ConstraintTable(table.scope, table.polarity, rows)
+        tables.append(table)
+    return Model(model.name, fibers, tables)
+
+
 # ---------------------------------------------------------------------------
 # amalgamation
 

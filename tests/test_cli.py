@@ -244,6 +244,51 @@ class TestExtend:
         assert code == 2
         assert "not a value" in err
 
+    def test_refusal_names_the_full_models_estimate(self, capsys, tmp_path):
+        # pinned to a=x the estimate is 2 * 4 = 8, under the bound; the
+        # whole model's 4 * 4 = 16 is not, and it decides
+        ws = tmp_path / "w.psh"
+        ws.write_text("model W\nfeature a: x | y | z\nfeature b: p | q | r\n")
+        ex = presh.cli.execute(presh.parse_workspace_file(str(ws)), max_enum=10)
+        a = presh.Assignment.from_mapping({"a": "x"})
+        ex.compile(presh.pin(ex.artifact("W"), a))
+        code, out, err = run(
+            capsys, "--workspace", str(ws), "--max-enum", "10", "extend", "W", "a=x"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "refused: presheaf of 'W' refused (required 16, bound 10)\n"
+
+    def test_reads_only_the_pinned_presheaf(self, capsys, monkeypatch, hub_path):
+        import presh.cli
+
+        compiled = []
+
+        def recording_compile(model):
+            compiled.append(model_mod.compile_model(model))
+            return compiled[-1]
+
+        monkeypatch.setattr(presh.cli, "compile_model", recording_compile)
+        code, _, _ = run(
+            capsys, "--workspace", hub_path, "extend", "Camcorder",
+            "film=prof_and_amateur,edit=quick_and_easy_editing",
+        )
+        assert code == 0
+        # the DigitalHub directive, Camcorder, then Camcorder pinned
+        _, full, pinned = compiled
+        assert full.fibers["edit"].values == (
+            "difficult_and_inconvenient_editing", "quick_and_easy_editing"
+        )
+        assert list(full.rows._built) == [()]
+        assert pinned.fibers["edit"].values == ("quick_and_easy_editing",)
+        assert pinned.rows._built[("edit", "film", "screen")] == ()
+
+    def test_the_empty_section_reuses_the_models_presheaf(self, hub_path):
+        ex = presh.cli.execute(presh.parse_workspace_file(hub_path), max_enum=10**6)
+        model = ex.artifact("Camcorder")
+        empty = presh.Assignment(presh.Subset(()), ())
+        assert ex.compile(presh.pin(model, empty)) is ex.compile(model)
+
 
 class TestMergeTransferDiff:
     def test_merge_prints_the_emergent_section(self, capsys, hub_path):
@@ -637,6 +682,7 @@ GOLDEN_CLI = GOLDEN / "cli"
 WORKSPACES = {
     "hub": Path(__file__).resolve().parents[1] / "src/presh/data/digital_hub.pshw",
     "broken": FIXTURES / "broken_analogy.pshw",
+    "blocking": FIXTURES / "blocking.psh",
 }
 CLI_CASES = {
     "hub-check": ("hub", "check"),
@@ -681,6 +727,9 @@ CLI_CASES = {
     "broken-render-dot": ("broken", "render", "B", "dot"),
     "broken-render-canvas": ("broken", "render", "A", "canvas"),
     "broken-refused-merge": ("broken", "--max-enum", "2", "merge", "A", "B"),
+    "blocking-extend": ("blocking", "extend", "Blocking", "a=y"),
+    "blocking-extend-blocked": ("blocking", "extend", "Blocking", "a=x"),
+    "blocking-extend-target": ("blocking", "extend", "Blocking", "a=x,d=m", "{a,b,d}"),
 }
 
 

@@ -1,8 +1,16 @@
+from itertools import product
+
 import pytest
 
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset
-from presh.model import ConstraintTable, Model, compile_model, oracle_sections
+from presh.model import (
+    ConstraintTable,
+    Model,
+    compile_model,
+    oracle_sections,
+    random_model,
+)
 from presh.ops import (
     DiffReport,
     FeatureIdentification,
@@ -14,12 +22,15 @@ from presh.ops import (
     emergent_sections,
     extend_fiber,
     overlap_union_report,
+    pin,
     remove_feature,
     transfer,
 )
 from presh.presheaf import (
     Assignment,
     Fiber,
+    blocking_sets,
+    extensions,
     global_sections,
     pullback_presheaf,
     restrict_assignment,
@@ -30,6 +41,7 @@ from presh.report import Violation
 from util import (
     random_identification,
     random_pair,
+    reference_blocking_sets,
     reference_diff_presheaves,
     reference_emergent_sections,
     reference_overlap_union_report,
@@ -129,6 +141,84 @@ class TestAddRemoveFeature:
         out, report = remove_feature(m, "a")
         assert out.tables == ()
         assert len(report.dropped_empty) == 1
+
+
+class TestPin:
+    def test_pinned_model_answers_like_the_full_one(self):
+        # the seeds and limits of test_blocking_sets_match_reference, and
+        # every value combination at objects of one or two features
+        pinned_local = 0
+        for seed in range(40):
+            m = random_model(seed, max_features=5)
+            p = compile_model(m)
+            oracle = {}
+            for u in p.family.objects_sorted:
+                if not 1 <= len(u) <= 2:
+                    continue
+                local = set(p.rows[u])
+                for combo in product(*(m.fibers[f].values for f in u.names)):
+                    a = Assignment(u, combo)
+                    pinned = pin(m, a)
+                    q = compile_model(pinned)
+                    if combo not in local:
+                        assert q.rows[u] == (), (seed, a)
+                        continue
+                    pinned_local += 1
+                    assert q.rows[u] == (combo,), (seed, a)
+                    want = reference_blocking_sets(p, a)
+                    assert blocking_sets(p, a) == want, (seed, a)
+                    assert blocking_sets(q, a) == want, (seed, a)
+                    for v in p.family.supersets(u):
+                        assert extensions(q, a, v) == extensions(p, a, v), (seed, a, v)
+                        if v not in oracle:
+                            oracle[v] = oracle_sections(m, v)
+                        agree = {b for b in oracle[v] if restrict_assignment(b, u) == a}
+                        assert oracle_sections(pinned, v) == agree, (seed, a, v)
+        assert pinned_local > 500
+
+    def test_unknown_feature_rejected(self, camcorder_model):
+        with pytest.raises(MalformedInputError, match="unknown feature 'nope'"):
+            pin(camcorder_model, A(nope="x"))
+
+    def test_value_outside_the_fiber_rejected(self, camcorder_model):
+        with pytest.raises(MalformedInputError, match="'large' is not a value"):
+            pin(camcorder_model, A(screen="large"))
+
+    def test_empty_assignment_keeps_the_content(self, camcorder_model):
+        out = pin(camcorder_model, Assignment(S(), ()))
+        assert out.name == camcorder_model.name
+        assert out.fibers == camcorder_model.fibers
+        assert out.tables == camcorder_model.tables
+        assert out.labels == {}
+
+    def test_value_removed_by_a_one_feature_forbid_is_not_local(self):
+        m = Model(
+            "m",
+            [Fiber("g", ("a", "b")), Fiber("h", ("c",))],
+            [ConstraintTable(S("g"), "forbid", [("a",)])],
+        )
+        a = A(g="a")
+        q = compile_model(pin(m, a))
+        assert q.rows[S("g")] == ()
+        with pytest.raises(MalformedInputError, match="g=a is not a local section"):
+            extensions(q, a, S("g", "h"))
+
+    def test_tables_keep_the_rows_that_agree(self):
+        m = Model(
+            "m",
+            [Fiber("a", ("x", "y")), Fiber("b", ("p", "q")), Fiber("c", ("s",))],
+            [
+                ConstraintTable(S("a", "b"), "allow", [("x", "p"), ("y", "q")]),
+                ConstraintTable(S("b", "c"), "forbid", [("q", "s")]),
+            ],
+        )
+        out = pin(m, A(a="y"))
+        assert out.fibers["a"] == Fiber("a", ("y",))
+        assert out.fibers["b"] is m.fibers["b"]
+        assert out.tables == (
+            ConstraintTable(S("a", "b"), "allow", [("y", "q")]),
+            ConstraintTable(S("b", "c"), "forbid", [("q", "s")]),
+        )
 
 
 class TestAmalgamate:
