@@ -38,12 +38,12 @@ from .ops import (
     MergedModel,
     amalgamate,
     analogy_check,
+    condition,
     diff_presheaves,
     emergent_sections,
     extend_fiber,
     add_feature,
     overlap_union_report,
-    pin,
     remove_feature,
     transfer,
 )

@@ -34,10 +34,10 @@ from .model import Model, compile_model
 from .ops import (
     amalgamate,
     analogy_check,
+    condition,
     diff_presheaves,
     emergent_sections,
     overlap_union_report,
-    pin,
     transfer,
 )
 from .presheaf import (
@@ -77,6 +77,8 @@ class Execution(Record):
         self.workspace = workspace
         self.max_enum = max_enum
         self.artifacts: dict[str, Model] = {}
+        # the table scopes each transfer directive left out, when it left any
+        self.transfer_skips: dict[TransferDirective, tuple[Subset, ...]] = {}
         self._compiled: dict[tuple, AssignmentPresheaf] = {}
         # the law report of each compiled presheaf, under the same key
         self._reports: dict[tuple, LawReport] = {}
@@ -120,6 +122,15 @@ class Execution(Record):
             self._reports[key] = validate_laws(self.compile(model))
         return self._reports[key]
 
+    def notes(self) -> list[str]:
+        """One line per table scope a transfer directive skipped."""
+        return [
+            f"note: transfer {d.result} = {d.identification} of {d.source}: "
+            f"skipped table scope {scope} (unmapped features)"
+            for d, scopes in self.transfer_skips.items()
+            for scope in scopes
+        ]
+
 
 def _content_key(model: Model) -> tuple:
     """What a model's sections depend on: its fibers and its tables."""
@@ -139,10 +150,12 @@ def execute(workspace: Workspace, *, max_enum: int) -> Execution:
             ex.artifacts[directive.result] = merged.result
         elif isinstance(directive, TransferDirective):
             decl = workspace.identifications[directive.identification]
-            model, _ = transfer(
+            model, skipped = transfer(
                 decl.ident, ex.artifact(directive.source), name=directive.result
             )
             ex.artifacts[directive.result] = model
+            if skipped:
+                ex.transfer_skips[directive] = skipped
         elif isinstance(directive, CheckDirective):
             report = ex.validate(ex.artifact(directive.target))
             if not report.passed:
@@ -312,19 +325,40 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
 
 
 def cmd_extend(ex: Execution, args, out: _Out) -> int:
+    """The extensions of a local section ``a`` to the target and, when there
+    are none, the blocking scopes above ``a``'s domain ``D``.
+
+    Both are read off the model conditioned on ``a`` (:func:`ops.condition`):
+    its rows at an object ``z`` are ``a``'s extensions to ``D ∪ z`` without
+    ``a``'s values, so the kernel enumerates no row that disagrees with
+    ``a``.  The extensions to the target are those of the empty section to
+    ``target ∖ D``, with ``a``'s values put back; each blocking scope is
+    ``D ∪ z`` for a blocking scope ``z`` of the empty section.  Adding ``D``
+    keeps the canonical row order and the shortlex scope order.
+    """
     model = ex.artifact(args.model)
     # refuses on the whole model's estimate, before any object is read
-    universe = ex.compile(model).family.universe
+    p = ex.compile(model)
     a = _parse_assignment(args.assignment, model)
     target = (
         _parse_object_spec(args.target, model)
         if args.target is not None
-        else universe
+        else p.family.universe
     )
-    # above a's domain the pinned model's rows are a's extensions, so the
-    # kernel enumerates no row that disagrees with a
-    p = ex.compile(pin(model, a))
-    exts = extensions(p, a, target)
+    d = a.domain
+    # of the whole model, this reads only d's prefix chain
+    if a.values not in p.rows[d]:
+        raise MalformedInputError(f"{a} is not a local section at {d}")
+    if not d.issubset(target):
+        raise MalformedInputError(f"{d} is not contained in {target}")
+    c = ex.compile(condition(model, a))
+    empty = Assignment(Subset(()), ())
+    fixed = a.as_dict()
+    exts = []
+    for b in extensions(c, empty, target.difference(d)):
+        rest = iter(b.values)
+        row = tuple(fixed[f] if f in fixed else next(rest) for f in target.names)
+        exts.append(Assignment(target, row))
     out.payload.update(
         {
             "model": args.model,
@@ -337,7 +371,7 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     for b in exts:
         out.text(f"  {b}")
     if not exts:
-        blocks = blocking_sets(p, a)
+        blocks = [d.union(z) for z in blocking_sets(c, empty)]
         out.payload["blocking"] = [list(w.names) for w in blocks]
         out.text("no extension; blocking scopes:")
         for w in blocks:
@@ -560,6 +594,8 @@ def main(argv: list[str] | None = None) -> int:
         out.machine = args.fmt == "machine"
         workspace = parse_workspace_file(args.workspace)
         ex = execute(workspace, max_enum=args.max_enum)
+        for line in ex.notes():
+            print(line, file=sys.stderr)
         code = args.func(ex, args, out)
         return out.flush(args.command, code)
     except ParseError as exc:

@@ -1,4 +1,9 @@
-"""Change operators on models: fiber edits, amalgamation, analogy transfer.
+"""Change operators on models: fiber edits, conditioning, amalgamation,
+analogy transfer.
+
+Conditioning on an assignment fixes its features and drops them: what is
+left is a model over the other features whose sections are the
+assignment's extensions, with its own values taken out.
 
 Amalgamation merges two models over their shared feature names.  Shared
 fibers become the union of the two value ranges, and every source table is
@@ -203,17 +208,18 @@ def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:
     return out, RemovalReport(tuple(projected), tuple(dropped_forbid), tuple(dropped_empty))
 
 
-def pin(model: Model, a: Assignment) -> Model:
-    """The model conditioned on ``a``: each fiber of ``a.domain`` keeps only
-    ``a``'s value, and each table only the rows that agree with ``a`` on the
-    pinned features of its scope.
+def condition(model: Model, a: Assignment) -> Model:
+    """The model conditioned on ``a``: over the features outside
+    ``D = a.domain``, each table keeps the rows that agree with ``a`` on the
+    features of ``D`` in its scope, projected onto the rest of its scope.
 
-    Compiled, its rows at every object containing ``a.domain`` are exactly
-    the extensions of ``a`` there, in the same canonical order; at
-    ``a.domain`` itself they are ``a.values`` when ``a`` is a local section
-    and nothing otherwise.  The result keeps the name and drops the labels
-    (they may name values pinned away).  The empty assignment gives a model
-    of equal fibers and tables.
+    A table disjoint from ``D`` stays as it is, and one inside ``D`` is
+    dropped: checking that ``a`` is a local section at ``D`` decides it.
+    So when ``a`` is a local section, the rows of the compiled result at each
+    object ``z`` are ``a``'s extensions to ``D ∪ z`` with ``a``'s values taken
+    out, in the same canonical order.  The result keeps the name and drops
+    the labels (they may name the features conditioned away).  The empty
+    assignment gives a model of equal fibers and tables.
     """
     value = a.as_dict()
     for f, v in value.items():
@@ -222,18 +228,21 @@ def pin(model: Model, a: Assignment) -> Model:
             raise MalformedInputError(f"unknown feature {f!r}")
         if v not in fib:
             raise MalformedInputError(f"{v!r} is not a value of {f!r}")
-    fibers = [
-        Fiber(f, (value[f],)) if f in value else fib for f, fib in model.fibers.items()
-    ]
+    fibers = [fib for f, fib in model.fibers.items() if f not in value]
     tables = []
     for table in model.tables:
         common = table.scope.intersection(a.domain)
-        if len(common):
-            want = row_projection(a.domain, common)(a.values)
-            agrees = row_projection(table.scope, common)
-            rows = [row for row in table.tuples if agrees(row) == want]
-            table = ConstraintTable(table.scope, table.polarity, rows)
-        tables.append(table)
+        if not len(common):
+            tables.append(table)
+            continue
+        rest = table.scope.difference(a.domain)
+        if not len(rest):
+            continue
+        want = row_projection(a.domain, common)(a.values)
+        agrees = row_projection(table.scope, common)
+        keep = row_projection(table.scope, rest)
+        rows = [keep(row) for row in table.tuples if agrees(row) == want]
+        tables.append(ConstraintTable(rest, table.polarity, rows))
     return Model(model.name, fibers, tables)
 
 

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +13,11 @@ import pytest
 import presh
 from presh import model as model_mod
 from presh.cli import build_parser, main
-from presh.dsl import parse_model
+from presh.dsl import parse_model, serialize
+from presh.model import compile_model, oracle_sections, random_model
+from presh.presheaf import restrict_assignment, row_sort_key
+
+from util import reference_blocking_sets
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -245,13 +251,13 @@ class TestExtend:
         assert "not a value" in err
 
     def test_refusal_names_the_full_models_estimate(self, capsys, tmp_path):
-        # pinned to a=x the estimate is 2 * 4 = 8, under the bound; the
-        # whole model's 4 * 4 = 16 is not, and it decides
+        # conditioned on a=x the estimate is 4 (b alone), under the bound;
+        # the whole model's 4 * 4 = 16 is not, and it decides
         ws = tmp_path / "w.psh"
         ws.write_text("model W\nfeature a: x | y | z\nfeature b: p | q | r\n")
         ex = presh.cli.execute(presh.parse_workspace_file(str(ws)), max_enum=10)
         a = presh.Assignment.from_mapping({"a": "x"})
-        ex.compile(presh.pin(ex.artifact("W"), a))
+        ex.compile(presh.condition(ex.artifact("W"), a))
         code, out, err = run(
             capsys, "--workspace", str(ws), "--max-enum", "10", "extend", "W", "a=x"
         )
@@ -259,7 +265,7 @@ class TestExtend:
         assert out == ""
         assert err == "refused: presheaf of 'W' refused (required 16, bound 10)\n"
 
-    def test_reads_only_the_pinned_presheaf(self, capsys, monkeypatch, hub_path):
+    def test_reads_only_the_conditioned_presheaf(self, capsys, monkeypatch, hub_path):
         import presh.cli
 
         compiled = []
@@ -274,20 +280,96 @@ class TestExtend:
             "film=prof_and_amateur,edit=quick_and_easy_editing",
         )
         assert code == 0
-        # the DigitalHub directive, Camcorder, then Camcorder pinned
-        _, full, pinned = compiled
-        assert full.fibers["edit"].values == (
-            "difficult_and_inconvenient_editing", "quick_and_easy_editing"
-        )
-        assert list(full.rows._built) == [()]
-        assert pinned.fibers["edit"].values == ("quick_and_easy_editing",)
-        assert pinned.rows._built[("edit", "film", "screen")] == ()
+        # the DigitalHub directive, Camcorder, then Camcorder conditioned on
+        # the section: the full model is read on the section's prefix chain
+        # only, and the conditioned one is over {screen} alone, where the
+        # (edit, screen) table leaves no value
+        _, full, conditioned = compiled
+        assert list(full.rows._built) == [(), ("edit",), ("edit", "film")]
+        assert list(conditioned.fibers) == ["screen"]
+        assert conditioned.rows._built == {(): ((),), ("screen",): ()}
 
     def test_the_empty_section_reuses_the_models_presheaf(self, hub_path):
         ex = presh.cli.execute(presh.parse_workspace_file(hub_path), max_enum=10**6)
         model = ex.artifact("Camcorder")
         empty = presh.Assignment(presh.Subset(()), ())
-        assert ex.compile(presh.pin(model, empty)) is ex.compile(model)
+        assert ex.compile(presh.condition(model, empty)) is ex.compile(model)
+
+
+def _oracle_extend(model, p, a, target):
+    """What ``extend`` prints for the local section ``a`` and ``target``, from
+    the brute-force sections at ``target`` and the reference blocking scopes:
+    the text lines and the machine payload."""
+    key = row_sort_key(model.fibers, target.names)
+    exts = sorted(
+        (b for b in oracle_sections(model, target)
+         if restrict_assignment(b, a.domain) == a),
+        key=lambda b: key(b.values),
+    )
+    lines = [f"extensions of {a} to {target}: {len(exts)}"]
+    lines += [f"  {b}" for b in exts]
+    payload = {
+        "command": "extend",
+        "exit": 0,
+        "model": model.name,
+        "assignment": a.as_dict(),
+        "target": list(target.names),
+        "extensions": [b.as_dict() for b in exts],
+    }
+    if not exts:
+        blocks = reference_blocking_sets(p, a)
+        lines.append("no extension; blocking scopes:")
+        lines += [f"  {w}" for w in blocks]
+        payload["blocking"] = [list(w.names) for w in blocks]
+    return lines, payload
+
+
+def test_extend_answers_like_the_oracle_on_random_models(capsys, tmp_path):
+    # every local section at an object of one or two features, through
+    # ``main`` in both formats, to the universe and to a random superset,
+    # under a random --max-enum: a run answers as the oracle does, or is
+    # refused on the whole model's estimate
+    rng = random.Random(16)
+    outcomes = {"refused": 0, "extends": 0, "blocked": 0}
+    for seed in range(24):
+        m = random_model(seed, max_features=5, max_fiber=3)
+        ws = tmp_path / f"{m.name}.psh"
+        ws.write_text(serialize(m), encoding="utf-8")
+        p = compile_model(m)
+        estimate = math.prod(1 + len(fib.values) for fib in m.fibers.values())
+        for u in p.family.objects_sorted:
+            if not 1 <= len(u) <= 2:
+                continue
+            supersets = list(p.family.supersets(u))
+            for a in sorted(oracle_sections(m, u), key=lambda a: a.values):
+                literal = ",".join(f"{f}={v}" for f, v in a.as_dict().items())
+                for target in (None, rng.choice(supersets)):
+                    lines, payload = _oracle_extend(
+                        m, p, a, target or p.family.universe
+                    )
+                    spec = [] if target is None else [str(target)]
+                    for fmt in ("text", "machine"):
+                        bound = rng.randint(estimate // 2, 2 * estimate)
+                        code, out, err = run(
+                            capsys, "--workspace", str(ws), "--format", fmt,
+                            "--max-enum", str(bound), "extend", m.name, literal, *spec,
+                        )
+                        if bound < estimate:
+                            outcomes["refused"] += 1
+                            assert (code, out, err) == (
+                                3,
+                                "",
+                                f"refused: presheaf of {m.name!r} refused "
+                                f"(required {estimate}, bound {bound})\n",
+                            ), (seed, a, target, fmt)
+                            continue
+                        outcomes["blocked" if "blocking" in payload else "extends"] += 1
+                        assert (code, err) == (0, ""), (seed, a, target, fmt)
+                        if fmt == "text":
+                            assert out.splitlines() == lines, (seed, a, target)
+                        else:
+                            assert json.loads(out) == payload, (seed, a, target)
+    assert min(outcomes.values()) > 100, outcomes
 
 
 class TestMergeTransferDiff:
@@ -704,6 +786,10 @@ CLI_CASES = {
     "hub-extend-blocked": (
         "hub", "extend", "Camcorder", "film=prof_and_amateur,edit=quick_and_easy_editing"
     ),
+    "hub-extend-not-contained": (
+        "hub", "extend", "Camcorder", "film=prof_and_amateur", "screen"
+    ),
+    "hub-extend-empty": ("hub", "extend", "Camcorder", ""),
     "hub-merge": ("hub", "merge", "PC", "Camcorder"),
     "hub-merge-hub": ("hub", "merge", "IMovieHub", "ITunesFromVideo", "--name", "Hub"),
     "hub-transfer": ("hub", "transfer", "AudioVideo", "IMovieHub"),
@@ -721,6 +807,7 @@ CLI_CASES = {
     "broken-sections-count": ("broken", "sections", "B", "--count"),
     "broken-extend": ("broken", "extend", "A", "f=b"),
     "broken-extend-not-local": ("broken", "extend", "B", "g=a"),
+    "broken-extend-empty": ("broken", "extend", "B", ""),
     "broken-merge": ("broken", "merge", "A", "B"),
     "broken-transfer": ("broken", "transfer", "h", "A"),
     "broken-diff": ("broken", "diff", "A", "B"),
@@ -730,6 +817,14 @@ CLI_CASES = {
     "blocking-extend": ("blocking", "extend", "Blocking", "a=y"),
     "blocking-extend-blocked": ("blocking", "extend", "Blocking", "a=x"),
     "blocking-extend-target": ("blocking", "extend", "Blocking", "a=x,d=m", "{a,b,d}"),
+    "blocking-extend-not-local-target": (
+        "blocking", "extend", "Blocking", "b=p,c=s", "{a,b,c}"
+    ),
+    # the section is checked for being local before the target for containing it
+    "blocking-extend-not-local-not-contained": (
+        "blocking", "extend", "Blocking", "b=p,c=s", "{a,b}"
+    ),
+    "blocking-extend-universe": ("blocking", "extend", "Blocking", "a=y,b=q,c=t,d=n"),
 }
 
 
@@ -809,6 +904,23 @@ class TestLessTravelledPaths:
             "  t=b",
             "analogy against T: ok",
         ]
+
+    def test_transfer_directive_notes_each_skipped_table_scope(self, capsys, tmp_path):
+        ws = tmp_path / "skip.pshw"
+        ws.write_text(
+            "format 1\n\nmodel A\nfeature f: x | y\nfeature g: p | q\n"
+            "forbid (f, g): (x, p)\n\nmodel T\nfeature t: x | y\n\n"
+            "identify h: T -> A {\n  feature t -> f {\n    x -> x\n    y -> y\n"
+            "  }\n}\n\ntransfer B = h of A\n"
+        )
+        ex = presh.cli.execute(presh.parse_workspace_file(str(ws)), max_enum=10**6)
+        (directive,) = ex.workspace.directives
+        assert ex.transfer_skips == {directive: (presh.Subset(["f", "g"]),)}
+        code, out, err = run(capsys, "--workspace", str(ws), "sections", "B")
+        assert (code, out.splitlines()) == (0, ["sections of B at {t}: 2", "  t=x", "  t=y"])
+        assert err == (
+            "note: transfer B = h of A: skipped table scope {f,g} (unmapped features)\n"
+        )
 
     def test_diff_marks_sections_only_on_the_left(self, capsys, hub_path):
         code, out, _ = run(capsys, "--workspace", hub_path, "diff", "IMovieHub", "Camcorder")

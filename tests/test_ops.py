@@ -18,11 +18,11 @@ from presh.ops import (
     add_feature,
     amalgamate,
     analogy_check,
+    condition,
     diff_presheaves,
     emergent_sections,
     extend_fiber,
     overlap_union_report,
-    pin,
     remove_feature,
     transfer,
 )
@@ -34,6 +34,7 @@ from presh.presheaf import (
     global_sections,
     pullback_presheaf,
     restrict_assignment,
+    row_projection,
     validate_laws,
 )
 from presh.report import Violation
@@ -143,11 +144,12 @@ class TestAddRemoveFeature:
         assert len(report.dropped_empty) == 1
 
 
-class TestPin:
-    def test_pinned_model_answers_like_the_full_one(self):
+class TestCondition:
+    def test_conditioned_model_answers_like_the_full_one(self):
         # the seeds and limits of test_blocking_sets_match_reference, and
         # every value combination at objects of one or two features
-        pinned_local = 0
+        empty = Assignment(S(), ())
+        local_sections = 0
         for seed in range(40):
             m = random_model(seed, max_features=5)
             p = compile_model(m)
@@ -158,66 +160,102 @@ class TestPin:
                 local = set(p.rows[u])
                 for combo in product(*(m.fibers[f].values for f in u.names)):
                     a = Assignment(u, combo)
-                    pinned = pin(m, a)
-                    q = compile_model(pinned)
+                    conditioned = condition(m, a)
+                    assert conditioned.features == m.features.difference(u)
                     if combo not in local:
-                        assert q.rows[u] == (), (seed, a)
                         continue
-                    pinned_local += 1
-                    assert q.rows[u] == (combo,), (seed, a)
+                    local_sections += 1
+                    q = compile_model(conditioned)
                     want = reference_blocking_sets(p, a)
                     assert blocking_sets(p, a) == want, (seed, a)
-                    assert blocking_sets(q, a) == want, (seed, a)
+                    got = tuple(u.union(z) for z in blocking_sets(q, empty))
+                    assert got == want, (seed, a)
                     for v in p.family.supersets(u):
-                        assert extensions(q, a, v) == extensions(p, a, v), (seed, a, v)
+                        rest = v.difference(u)
+                        drop_a = row_projection(v, rest)
+                        assert [b.values for b in extensions(q, empty, rest)] == [
+                            drop_a(b.values) for b in extensions(p, a, v)
+                        ], (seed, a, v)
                         if v not in oracle:
                             oracle[v] = oracle_sections(m, v)
-                        agree = {b for b in oracle[v] if restrict_assignment(b, u) == a}
-                        assert oracle_sections(pinned, v) == agree, (seed, a, v)
-        assert pinned_local > 500
+                        agree = {
+                            restrict_assignment(b, rest)
+                            for b in oracle[v]
+                            if restrict_assignment(b, u) == a
+                        }
+                        assert oracle_sections(conditioned, rest) == agree, (seed, a, v)
+        assert local_sections > 500
 
     def test_unknown_feature_rejected(self, camcorder_model):
         with pytest.raises(MalformedInputError, match="unknown feature 'nope'"):
-            pin(camcorder_model, A(nope="x"))
+            condition(camcorder_model, A(nope="x"))
 
     def test_value_outside_the_fiber_rejected(self, camcorder_model):
         with pytest.raises(MalformedInputError, match="'large' is not a value"):
-            pin(camcorder_model, A(screen="large"))
+            condition(camcorder_model, A(screen="large"))
 
     def test_empty_assignment_keeps_the_content(self, camcorder_model):
-        out = pin(camcorder_model, Assignment(S(), ()))
+        out = condition(camcorder_model, Assignment(S(), ()))
         assert out.name == camcorder_model.name
         assert out.fibers == camcorder_model.fibers
         assert out.tables == camcorder_model.tables
         assert out.labels == {}
 
-    def test_value_removed_by_a_one_feature_forbid_is_not_local(self):
+    def test_a_table_inside_the_domain_is_dropped(self):
+        # g=a is no local section, which the conditioned model cannot tell:
+        # the forbid on (g) is left to the local-section check
         m = Model(
             "m",
-            [Fiber("g", ("a", "b")), Fiber("h", ("c",))],
-            [ConstraintTable(S("g"), "forbid", [("a",)])],
-        )
-        a = A(g="a")
-        q = compile_model(pin(m, a))
-        assert q.rows[S("g")] == ()
-        with pytest.raises(MalformedInputError, match="g=a is not a local section"):
-            extensions(q, a, S("g", "h"))
-
-    def test_tables_keep_the_rows_that_agree(self):
-        m = Model(
-            "m",
-            [Fiber("a", ("x", "y")), Fiber("b", ("p", "q")), Fiber("c", ("s",))],
+            [Fiber("g", ("a", "b")), Fiber("h", ("c", "d"))],
             [
-                ConstraintTable(S("a", "b"), "allow", [("x", "p"), ("y", "q")]),
-                ConstraintTable(S("b", "c"), "forbid", [("q", "s")]),
+                ConstraintTable(S("g"), "forbid", [("a",)]),
+                ConstraintTable(S("g", "h"), "allow", [("a", "c"), ("b", "d")]),
             ],
         )
-        out = pin(m, A(a="y"))
-        assert out.fibers["a"] == Fiber("a", ("y",))
+        a = A(g="a")
+        assert compile_model(m).rows[S("g")] == (("b",),)
+        out = condition(m, a)
+        assert out.fibers == {"h": m.fibers["h"]}
+        assert out.tables == (ConstraintTable(S("h"), "allow", [("c",)]),)
+
+    def test_a_whole_domain_leaves_no_features(self):
+        m = Model(
+            "m",
+            [Fiber("g", ("a", "b"))],
+            [ConstraintTable(S("g"), "allow", [("a",)])],
+        )
+        out = condition(m, A(g="b"))
+        assert (out.fibers, out.tables) == ({}, ())
+        assert compile_model(out).rows[S()] == ((),)
+
+    def test_partly_covered_tables_are_projected(self):
+        m = Model(
+            "m",
+            [
+                Fiber("a", ("x", "y")),
+                Fiber("b", ("p", "q")),
+                Fiber("c", ("s", "t")),
+                Fiber("d", ("u",)),
+            ],
+            [
+                ConstraintTable(S("a", "b"), "allow", [("x", "p"), ("y", "q")]),
+                ConstraintTable(
+                    S("a", "b", "c"), "forbid", [("y", "q", "s"), ("y", "p", "t")]
+                ),
+                ConstraintTable(
+                    S("a", "c", "d"), "forbid", [("x", "s", "u"), ("y", "t", "u")]
+                ),
+                ConstraintTable(S("b", "c"), "forbid", [("p", "s")]),
+            ],
+        )
+        out = condition(m, A(a="y", d="u"))
+        assert list(out.fibers) == ["b", "c"]
         assert out.fibers["b"] is m.fibers["b"]
         assert out.tables == (
-            ConstraintTable(S("a", "b"), "allow", [("y", "q")]),
-            ConstraintTable(S("b", "c"), "forbid", [("q", "s")]),
+            ConstraintTable(S("b"), "allow", [("q",)]),
+            ConstraintTable(S("c"), "forbid", [("t",)]),
+            ConstraintTable(S("b", "c"), "forbid", [("p", "s")]),
+            ConstraintTable(S("b", "c"), "forbid", [("p", "t"), ("q", "s")]),
         )
 
 
