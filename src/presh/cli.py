@@ -43,6 +43,7 @@ from .ops import (
 from .presheaf import (
     Assignment,
     AssignmentPresheaf,
+    _require_local_section,
     blocking_sets,
     extensions,
     global_sections,
@@ -259,13 +260,10 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
                 report = ex.validate(ex.artifact(name))
                 violations.extend(f"{name}: {v}" for v in report.violations)
         elif suite == "adjunction":
-            universe = Subset([f"a{i}" for i in range(5)])
-            family = close_family(universe)
-            for s2 in family.objects_sorted:
-                sub = close_family(s2)
-                for s1 in sub.objects_sorted:
-                    report = check_adjunction_triple(s1, s2)
-                    violations.extend(str(v) for v in report.violations)
+            family = close_family(Subset([f"a{i}" for i in range(5)]))
+            for s1, s2 in family.inclusions():
+                report = check_adjunction_triple(s1, s2)
+                violations.extend(str(v) for v in report.violations)
         elif suite == "yoneda":
             for n in range(4):
                 family = close_family(Subset([f"g{i}" for i in range(n)]))
@@ -307,7 +305,6 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
         if args.object is not None
         else p.family.universe
     )
-    p.family.require(obj)
     count = len(p.rows[obj])
     secs = () if args.count else p.sections_at(obj)
     out.payload.update(
@@ -347,8 +344,7 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     )
     d = a.domain
     # of the whole model, this reads only d's prefix chain
-    if a.values not in p.rows[d]:
-        raise MalformedInputError(f"{a} is not a local section at {d}")
+    _require_local_section(p, a)
     if not d.issubset(target):
         raise MalformedInputError(f"{d} is not contained in {target}")
     c = ex.compile(condition(model, a))

@@ -34,7 +34,7 @@ from typing import Union
 
 from .errors import MalformedInputError, PreshError
 from .lattice import Subset
-from .model import ALLOW, FORBID, ConstraintTable, Model
+from .model import ConstraintTable, Model
 from .ops import FeatureIdentification
 from .presheaf import Fiber
 from .report import Frozen
@@ -361,7 +361,10 @@ class _Parser:
         if head[1] in ("feature", "label", "cover", "allow", "forbid"):
             if self.model is None:
                 raise line.error(f"{head[1]!r} outside a model block", head)
-            getattr(self, f"_model_{head[1]}")(line)
+            if head[1] in ("allow", "forbid"):  # the keyword is the polarity
+                self._table(line, head[1])
+            else:
+                getattr(self, f"_model_{head[1]}")(line)
             return
         if head[1] == "include":
             self._require_workspace(line, head)
@@ -440,12 +443,6 @@ class _Parser:
             line.expect("}")
             if not line.done():
                 line.expect(",")
-
-    def _model_allow(self, line: _Line) -> None:
-        self._table(line, ALLOW)
-
-    def _model_forbid(self, line: _Line) -> None:
-        self._table(line, FORBID)
 
     def _table(self, line: _Line, polarity: str) -> None:
         line.take()

@@ -32,7 +32,8 @@ from .lattice import CoverFamily, Subset, check_feature_name, close_family
 from .presheaf import Assignment, AssignmentPresheaf, Fiber
 from .report import Frozen
 
-#: Refusal bound for the oracle's full product at a single object.
+#: Refusal bound for the oracle's full product at a single object, read by
+#: :func:`oracle_sections` on each call.
 ORACLE_PRODUCT_BOUND = 10**7
 
 #: Refusal bound for one table's scope product (the value combinations it spans).
@@ -293,13 +294,11 @@ def compile_model(model: Model) -> AssignmentPresheaf:
     return AssignmentPresheaf(family, dict(model.fibers), rows)
 
 
-def oracle_sections(
-    model: Model, u: Subset, *, max_product: int = ORACLE_PRODUCT_BOUND
-) -> set[Assignment]:
+def oracle_sections(model: Model, u: Subset) -> set[Assignment]:
     """Brute-force reference: full value product at ``u``, filtered per table.
 
     Deliberately naive and fully independent of the compiled path; refuses
-    when the raw product exceeds ``max_product``.
+    when the raw product exceeds ``ORACLE_PRODUCT_BOUND``.
     """
     for f in u:
         if f not in model.fibers:
@@ -307,9 +306,9 @@ def oracle_sections(
     space = 1
     for f in u.names:
         space *= len(model.fibers[f].values)
-    if space > max_product:
+    if space > ORACLE_PRODUCT_BOUND:
         raise EnumerationBoundError(
-            f"oracle product at {u} refused", required=space, bound=max_product
+            f"oracle product at {u} refused", required=space, bound=ORACLE_PRODUCT_BOUND
         )
     applicable = []
     for table in model.tables:

@@ -105,16 +105,9 @@ class MergedModel(Frozen):
 
 
 class ObjectDiff(Frozen):
-    __slots__ = ("only_in_left", "only_in_right")
     _fields = ("only_in_left", "only_in_right")
     only_in_left: tuple[Assignment, ...]
     only_in_right: tuple[Assignment, ...]
-
-    def __init__(
-        self, only_in_left: tuple[Assignment, ...], only_in_right: tuple[Assignment, ...]
-    ):
-        object.__setattr__(self, "only_in_left", only_in_left)
-        object.__setattr__(self, "only_in_right", only_in_right)
 
     @property
     def clean(self) -> bool:

@@ -29,7 +29,8 @@ from .errors import EnumerationBoundError, MalformedInputError
 from .lattice import CoverFamily, Subset, _shortlex, check_feature_name, close_family
 from .report import Frozen, LawReport, Violation
 
-#: Refuse natural-transformation enumerations with more raw candidates than this.
+#: Refuse natural-transformation enumerations with more raw candidates than
+#: this; :func:`nat_transformations` reads it on each call.
 NAT_ENUM_BOUND = 10**6
 
 #: Element id used by representable presheaves (poset Hom-sets are at most one arrow).
@@ -486,17 +487,14 @@ def _same_family(f: AbstractPresheaf, g: AbstractPresheaf) -> None:
 
 
 def nat_transformations(
-    fsrc: AbstractPresheaf,
-    gtgt: AbstractPresheaf,
-    *,
-    max_candidates: int = NAT_ENUM_BOUND,
+    fsrc: AbstractPresheaf, gtgt: AbstractPresheaf
 ) -> tuple[NatTransformation, ...]:
     """Enumerate every natural transformation ``fsrc -> gtgt``.
 
     Complete and deterministic: objects are processed from the largest down
     so restriction constraints prune the component search early; output
     order is the canonical enumeration order.  Refuses (rather than
-    sampling) when the raw candidate count exceeds ``max_candidates``.
+    sampling) when the raw candidate count exceeds ``NAT_ENUM_BOUND``.
     """
     _same_family(fsrc, gtgt)
     family = fsrc.family
@@ -506,9 +504,9 @@ def nat_transformations(
     raw = 1
     for d in needed:
         raw *= len(gtgt.elements[d]) ** len(fsrc.elements[d])
-    if raw > max_candidates:
+    if raw > NAT_ENUM_BOUND:
         raise EnumerationBoundError(
-            "natural-transformation search refused", required=raw, bound=max_candidates
+            "natural-transformation search refused", required=raw, bound=NAT_ENUM_BOUND
         )
 
     order = needed[::-1]

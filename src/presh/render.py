@@ -34,11 +34,9 @@ def dot_cover_family(p: AssignmentPresheaf, name: str) -> str:
     section count."""
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", '  node [shape=box];']
     for u in p.family.objects_sorted:
-        label = str(u) if len(u) else "{}"
-        lines.append(f'  "{label}" [label="{label}\\n{len(p.rows[u])}"];')
+        lines.append(f'  "{u}" [label="{u}\\n{len(p.rows[u])}"];')
     for u, v in p.family.covers():
-        lu = str(u) if len(u) else "{}"
-        lines.append(f'  "{lu}" -> "{v}";')
+        lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

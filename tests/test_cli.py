@@ -13,11 +13,25 @@ import pytest
 import presh
 from presh import model as model_mod
 from presh.cli import build_parser, main
-from presh.dsl import parse_model, serialize
+from presh.dsl import (
+    CheckDirective,
+    IdentificationDecl,
+    MergeDirective,
+    TransferDirective,
+    Workspace,
+    parse_model,
+    serialize,
+)
 from presh.model import compile_model, oracle_sections, random_model
 from presh.presheaf import restrict_assignment, row_sort_key
 
-from util import reference_blocking_sets
+from util import (
+    random_identification,
+    random_pair,
+    reference_blocking_sets,
+    reference_emergent_sections,
+    reference_overlap_union_report,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -372,6 +386,175 @@ def test_extend_answers_like_the_oracle_on_random_models(capsys, tmp_path):
     assert min(outcomes.values()) > 100, outcomes
 
 
+def _estimate(model) -> int:
+    return math.prod(1 + len(fib.values) for fib in model.fibers.values())
+
+
+def _sorted_sections(sections, fibers, u):
+    key = row_sort_key(fibers, u.names)
+    return sorted(sections, key=lambda a: key(a.values))
+
+
+def _random_workspace(seed: int, tmp_path):
+    """A seeded ``random_pair`` ``L`` + ``R`` with ``merge M = L + R``, an
+    identification ``h`` into ``L`` with ``transfer X = h of L``, and
+    ``check M``; the identification's target is ``X`` on odd seeds, so
+    ``transfer`` also checks the analogy, and an undeclared name on even
+    ones.  Returns the file, ``h``, the target's name, the artifacts as the
+    library builds them, and the notes the transfer directive writes."""
+    left, right = random_pair(seed, max_features=4, max_fiber=3)
+    left, right = left.with_name("L"), right.with_name("R")
+    h = random_identification(seed, left)
+    target = "X" if seed % 2 else "T"
+    ws = Workspace((
+        left,
+        right,
+        IdentificationDecl(h, target, "L"),
+        MergeDirective("M", "L", "R"),
+        TransferDirective("X", h.name, "L"),
+        CheckDirective("M"),
+    ))
+    path = tmp_path / f"w{seed}.pshw"
+    path.write_text(serialize(ws), encoding="utf-8")
+    transferred, skipped = presh.transfer(h, left, name="X")
+    artifacts = {
+        "L": left,
+        "R": right,
+        "M": presh.amalgamate(left, right, name="M").result,
+        "X": transferred,
+    }
+    notes = "".join(
+        f"note: transfer X = {h.name} of L: skipped table scope {s} (unmapped features)\n"
+        for s in skipped
+    )
+    return path, h, target, artifacts, notes
+
+
+def _expected_sections(model, obj, count):
+    secs = _sorted_sections(oracle_sections(model, obj), model.fibers, obj)
+    shown = [] if count else secs
+    lines = [f"sections of {model.name} at {obj}: {len(secs)}"] + [f"  {a}" for a in shown]
+    payload = {
+        "command": "sections",
+        "exit": 0,
+        "model": model.name,
+        "object": list(obj.names),
+        "count": len(secs),
+        "sections": None if count else [a.as_dict() for a in secs],
+    }
+    return lines, payload
+
+
+def _expected_transfer(h, left, target, artifacts):
+    model, skipped = presh.transfer(h, left)
+    pulled = presh.pullback_presheaf(h, compile_model(left))
+    universe = pulled.family.universe
+    gs = _sorted_sections(pulled.sections_at(universe), pulled.fibers, universe)
+    lines = [f"transfer {model.name} = {h.name} of L"]
+    lines += [f"  skipped table scope {s} (unmapped features)" for s in skipped]
+    lines += [f"global sections: {len(gs)}"] + [f"  {a}" for a in gs]
+    payload = {
+        "command": "transfer",
+        "exit": 0,
+        "result": model.name,
+        "skipped_scopes": [list(s.names) for s in skipped],
+        "global_sections": [a.as_dict() for a in gs],
+    }
+    if target in artifacts:
+        # the target is the transfer directive's result, so it commutes
+        lines.append(f"analogy against {target}: ok")
+        payload["analogy"] = {"target": target, "passed": True, "violations": []}
+    return model, lines, payload
+
+
+def _expected_merge(artifacts):
+    left, right = artifacts["L"], artifacts["R"]
+    merged = presh.amalgamate(left, right).result
+    compiled = tuple(compile_model(m) for m in (merged, left, right))
+    universe = compiled[0].family.universe
+    gs = _sorted_sections(oracle_sections(merged, universe), merged.fibers, universe)
+    emergent = reference_emergent_sections(*compiled)
+    cross = [
+        (u, d.only_in_right)
+        for u, d in reference_overlap_union_report(*compiled).items()
+        if d.only_in_right
+    ]
+    lines = [f"merge {merged.name} = L + R", f"global sections: {len(gs)}"]
+    lines += [f"emergent sections: {len(emergent)}"] + [f"  {a}" for a in emergent]
+    if cross:
+        lines.append("cross-combinations on the overlap (amalgam only):")
+        lines += [f"  {u}: {a}" for u, extra in cross for a in extra]
+    payload = {
+        "command": "merge",
+        "exit": 0,
+        "result": merged.name,
+        "emergent": [a.as_dict() for a in emergent],
+        "cross_combinations": {str(u): [a.as_dict() for a in e] for u, e in cross},
+        "global_sections": [a.as_dict() for a in gs],
+    }
+    return merged, lines, payload
+
+
+def test_commands_answer_like_the_references_on_random_workspaces(capsys, tmp_path):
+    # sections (whole, --count, --object) against the oracle, transfer against
+    # the presheaf pullback and merge against the reference merge reports,
+    # through ``main`` in both formats, under a random --max-enum: a run
+    # answers as the references do, or is refused on the first model it
+    # compiles over the bound (the check directive's ``M`` comes first)
+    rng = random.Random(17)
+    outcomes = {"refused": 0, "sections": 0, "transfer": 0, "merge": 0}
+    for seed in range(45):
+        path, h, target, artifacts, notes = _random_workspace(seed, tmp_path)
+        runs = []
+        for name, model in artifacts.items():
+            p = compile_model(model)
+            obj = rng.choice([None, rng.choice(p.family.objects_sorted)])
+            count = rng.random() < 0.5
+            lines, payload = _expected_sections(
+                model, obj if obj is not None else p.family.universe, count
+            )
+            argv = ["sections", name]
+            argv += [] if obj is None else ["--object", str(obj)]
+            argv += ["--count"] if count else []
+            runs.append(("sections", argv, [model], lines, payload))
+        model, lines, payload = _expected_transfer(h, artifacts["L"], target, artifacts)
+        runs.append(("transfer", ["transfer", h.name, "L"], [model], lines, payload))
+        merged, lines, payload = _expected_merge(artifacts)
+        runs.append(
+            ("merge", ["merge", "L", "R"], [merged, artifacts["L"], artifacts["R"]],
+             lines, payload)
+        )
+        for kind, argv, compiled, lines, payload in runs:
+            ahead = [artifacts["M"]] + compiled
+            estimates = [_estimate(m) for m in ahead]
+            for fmt in ("text", "machine"):
+                bound = rng.randint(min(estimates) // 2, 3 * max(estimates))
+                code, out, err = run(
+                    capsys, "--workspace", str(path), "--format", fmt,
+                    "--max-enum", str(bound), *argv,
+                )
+                where = (seed, argv, fmt, bound)
+                over = [m for m in ahead if _estimate(m) > bound]
+                if over:
+                    outcomes["refused"] += 1
+                    first = over[0]
+                    refusal = (
+                        f"refused: presheaf of {first.name!r} refused "
+                        f"(required {_estimate(first)}, bound {bound})\n"
+                    )
+                    # a refusal in the check directive comes before the notes
+                    before = "" if first is artifacts["M"] else notes
+                    assert (code, out, err) == (3, "", before + refusal), where
+                    continue
+                outcomes[kind] += 1
+                assert (code, err) == (0, notes), where
+                if fmt == "text":
+                    assert out.splitlines() == lines, where
+                else:
+                    assert json.loads(out) == payload, where
+    assert min(outcomes.values()) > 50, outcomes
+
+
 class TestMergeTransferDiff:
     def test_merge_prints_the_emergent_section(self, capsys, hub_path):
         code, out, _ = run(capsys, "--workspace", hub_path, "merge", "PC", "Camcorder")
@@ -552,6 +735,76 @@ class TestCheck:
         )
         assert code == 0
         assert out.splitlines() == ["yoneda: ok", "closure: ok"]
+
+    def test_failing_check_directive_is_1_with_its_violations(
+        self, capsys, monkeypatch, hub_path
+    ):
+        violations = (
+            presh.Violation("closure", "first witness"),
+            presh.Violation("closure", "second witness"),
+        )
+        monkeypatch.setattr(presh.cli, "validate_laws", lambda p: presh.LawReport(violations))
+        for fmt in ("text", "machine"):
+            code, out, err = run(
+                capsys, "--workspace", hub_path, "--format", fmt, "sections", "PC"
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                "check DigitalHub: FAIL\n"
+                "  closure: first witness\n"
+                "  closure: second witness\n"
+            )
+
+    def test_analogy_skips_an_identification_with_an_undeclared_target(
+        self, capsys, tmp_path
+    ):
+        # ``h`` maps onto a target no model declares, ``g`` onto ``B``
+        ws = tmp_path / "w.pshw"
+        ws.write_text(
+            "model A\nfeature f: a | b\nmodel B\nfeature t: a | b\n"
+            "identify h: Nowhere -> A {\n  feature t -> f {\n    a -> a\n  }\n}\n"
+            "identify g: B -> A {\n  feature t -> f {\n    a -> a\n    b -> b\n  }\n}\n"
+        )
+        code, out, err = run(capsys, "--workspace", str(ws), "check", "--laws=analogy")
+        assert (code, out, err) == (0, "analogy: ok\n", "")
+        # a table in B that the transfer does not have makes ``g`` fail
+        ws.write_text(ws.read_text().replace("b\nidentify h", "b\nforbid (t): (b)\nidentify h"))
+        code, out, _ = run(capsys, "--workspace", str(ws), "check", "--laws=analogy")
+        assert code == 1
+        assert out.startswith("analogy: FAIL (")
+        assert all(line.startswith("  g: ") for line in out.splitlines()[1:])
+
+    def test_yoneda_suite_passes_for_any_seed_and_repeats(
+        self, capsys, monkeypatch, hub_path
+    ):
+        drawn = []
+
+        def recording(seed, family):
+            drawn.append(presh.random_abstract_presheaf(seed, family))
+            return drawn[-1]
+
+        monkeypatch.setattr(presh.cli, "random_abstract_presheaf", recording)
+        per_seed = []
+        for seed in (1, 7, 1234):
+            first = len(drawn)
+            for fmt in ("text", "machine"):
+                argv = ["--format", fmt, "--seed", str(seed), "check", "--laws=yoneda"]
+                runs = [run(capsys, "--workspace", hub_path, *argv) for _ in range(2)]
+                assert runs[0] == runs[1], (seed, fmt)
+                code, out, err = runs[0]
+                assert (code, err) == (0, "")
+                if fmt == "text":
+                    assert out == "yoneda: ok\n"
+                else:
+                    assert json.loads(out)["suites"] == {
+                        "yoneda": {"passed": True, "violations": []}
+                    }
+            per_seed.append(drawn[first:])
+        # each run draws the same presheaves, and another seed draws others
+        for draws in per_seed:
+            n = len(draws) // 4
+            assert n and draws == draws[:n] * 4
+        assert len({tuple(map(repr, draws)) for draws in per_seed}) == 3
 
 
 def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):

@@ -60,5 +60,5 @@ def test_only_validating_or_slot_backed_records_write_an_init():
     records = [c for c in Frozen.__subclasses__() if c.__module__.startswith("presh.")]
     own_init = {c.__name__ for c in records if "__init__" in vars(c)}
     slot_backed = {c.__name__ for c in records if "__slots__" in vars(c)}
-    assert slot_backed == {"Subset", "Assignment", "ConstraintTable", "ObjectDiff"}
+    assert slot_backed == {"Subset", "Assignment", "ConstraintTable"}
     assert own_init - slot_backed == {"Model", "Fiber", "FeatureIdentification"}

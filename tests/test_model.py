@@ -163,10 +163,12 @@ class TestOracle:
     def test_singleton(self, org):
         assert oracle_sections(org, S("size")) == {A(size="large"), A(size="small")}
 
-    def test_refuses_large_products(self):
+    def test_refuses_large_products(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "ORACLE_PRODUCT_BOUND", 100)
         m = Model("wide", [Fiber(f"f{i}", tuple(f"v{j}" for j in range(4))) for i in range(6)])
-        with pytest.raises(EnumerationBoundError):
-            oracle_sections(m, m.features, max_product=100)
+        with pytest.raises(EnumerationBoundError) as err:
+            oracle_sections(m, m.features)
+        assert (err.value.required, err.value.bound) == (4**6, 100)
 
     def test_unknown_feature(self, org):
         with pytest.raises(MalformedInputError):

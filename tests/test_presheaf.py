@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presh import presheaf as presheaf_mod
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset, close_family
 from presh.model import compile_model, random_model
@@ -489,7 +490,8 @@ class TestNatTransformations:
         with pytest.raises(MalformedInputError):
             nat_transformations(f, g)
 
-    def test_bound_refusal_reports_the_count(self):
+    def test_bound_refusal_reports_the_count(self, monkeypatch):
+        monkeypatch.setattr(presheaf_mod, "NAT_ENUM_BOUND", 10)
         fam = close_family(S("a"))
         big = AbstractPresheaf(
             fam,
@@ -500,7 +502,8 @@ class TestNatTransformations:
             },
         )
         with pytest.raises(EnumerationBoundError) as err:
-            nat_transformations(big, big, max_candidates=10)
+            nat_transformations(big, big)
+        assert err.value.bound == 10
         assert err.value.required > 10
 
     def test_naturality_squares_hold(self):
