@@ -44,9 +44,9 @@ from .presheaf import (
     Assignment,
     AssignmentPresheaf,
     _require_local_section,
+    _token,
     blocking_sets,
     extensions,
-    global_sections,
     random_abstract_presheaf,
     representable,
     validate_laws,
@@ -186,7 +186,7 @@ def _parse_object_spec(spec: str, model: Model) -> Subset:
         ]
         raise MalformedInputError(
             f"unknown feature {unknown[0]!r} in object spec; nearest family "
-            f"objects: {str(known)}, " + ", ".join(candidates[:4])
+            "objects: " + ", ".join([str(known)] + candidates[:4])
         )
     return Subset(names)
 
@@ -222,6 +222,14 @@ class _Out:
 
     def text(self, line: str = "") -> None:
         self.lines.append(line)
+
+    def rows(self, key: str, names: tuple[str, ...], rows) -> None:
+        """A list of sections over ``names``, one per value row: objects
+        under ``key`` in machine output, ``f=v`` lines in text output."""
+        if self.machine:
+            self.payload[key] = [dict(zip(names, row)) for row in rows]
+        else:
+            self.lines.extend("  " + _token(names, row) for row in rows)
 
     def flush(self, command: str, exit_code: int) -> int:
         if self.machine:
@@ -305,19 +313,18 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
         if args.object is not None
         else p.family.universe
     )
-    count = len(p.rows[obj])
-    secs = () if args.count else p.sections_at(obj)
+    rows = p.rows[obj]
     out.payload.update(
         {
             "model": args.model,
             "object": list(obj.names),
-            "count": count,
-            "sections": None if args.count else [a.as_dict() for a in secs],
+            "count": len(rows),
+            "sections": None,
         }
     )
-    out.text(f"sections of {args.model} at {obj}: {count}")
-    for a in secs:
-        out.text(f"  {a}")
+    out.text(f"sections of {args.model} at {obj}: {len(rows)}")
+    if not args.count:
+        out.rows("sections", obj.names, rows)
     return EXIT_OK
 
 
@@ -354,18 +361,12 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     for b in extensions(c, empty, target.difference(d)):
         rest = iter(b.values)
         row = tuple(fixed[f] if f in fixed else next(rest) for f in target.names)
-        exts.append(Assignment(target, row))
+        exts.append(row)
     out.payload.update(
-        {
-            "model": args.model,
-            "assignment": a.as_dict(),
-            "target": list(target.names),
-            "extensions": [b.as_dict() for b in exts],
-        }
+        {"model": args.model, "assignment": fixed, "target": list(target.names)}
     )
     out.text(f"extensions of {a} to {target}: {len(exts)}")
-    for b in exts:
-        out.text(f"  {b}")
+    out.rows("extensions", target.names, exts)
     if not exts:
         blocks = [d.union(z) for z in blocking_sets(c, empty)]
         out.payload["blocking"] = [list(w.names) for w in blocks]
@@ -396,10 +397,10 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
                 f"warning: shared fiber {record.feature!r} declared in a "
                 "different order on each side; left order kept"
             )
-    out.text(f"global sections: {len(p.rows[p.family.universe])}")
+    universe = p.family.universe
+    out.text(f"global sections: {len(p.rows[universe])}")
     out.text(f"emergent sections: {len(emergent)}")
-    for a in emergent:
-        out.text(f"  {a}")
+    out.rows("emergent", universe.names, [a.values for a in emergent])
     cross = [
         (u, d.only_in_right)
         for u, d in overlap.per_object.items()
@@ -413,15 +414,13 @@ def cmd_merge(ex: Execution, args, out: _Out) -> int:
     out.payload.update(
         {
             "result": merged.result.name,
-            "emergent": [a.as_dict() for a in emergent],
             "cross_combinations": {
                 str(u): [a.as_dict() for a in extra] for u, extra in cross
             },
         }
     )
     if out.machine:  # text output prints only the count
-        gs = global_sections(p)
-        out.payload["global_sections"] = [a.as_dict() for a in gs]
+        out.rows("global_sections", universe.names, p.rows[universe])
     if args.emit:
         _emit(merged.result, args.emit, out)
     return EXIT_OK
@@ -433,19 +432,15 @@ def cmd_transfer(ex: Execution, args, out: _Out) -> int:
         raise MalformedInputError(f"unknown identification {args.identification!r}")
     model, skipped = transfer(decl.ident, ex.artifact(args.source), name=args.name)
     p = ex.compile(model)
-    gs = global_sections(p)
+    universe = p.family.universe
+    gs = p.rows[universe]
     out.text(f"transfer {model.name} = {decl.ident.name} of {args.source}")
     for scope in skipped:
         out.text(f"  skipped table scope {scope} (unmapped features)")
     out.text(f"global sections: {len(gs)}")
-    for a in gs:
-        out.text(f"  {a}")
+    out.rows("global_sections", universe.names, gs)
     out.payload.update(
-        {
-            "result": model.name,
-            "skipped_scopes": [list(s.names) for s in skipped],
-            "global_sections": [a.as_dict() for a in gs],
-        }
+        {"result": model.name, "skipped_scopes": [list(s.names) for s in skipped]}
     )
     code = EXIT_OK
     if decl.target_name in ex.artifacts:

@@ -86,7 +86,7 @@ def canvas(model: Model, p: AssignmentPresheaf) -> str:
         for f in order:
             marks.setdefault((f, s.value_of(f)), []).append(f"*{i}")
 
-    depth = max(len(model.fibers[f].values) for f in order)
+    depth = max((len(model.fibers[f].values) for f in order), default=0)
     cells: list[list[str]] = []
     header = ["value"] + list(order)
     for rank in range(depth - 1, -1, -1):
@@ -100,9 +100,7 @@ def canvas(model: Model, p: AssignmentPresheaf) -> str:
             else:
                 row.append("")
         cells.append(row)
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in cells)) for i in range(len(header))
-    ]
+    widths = [max(len(r[i]) for r in [header, *cells]) for i in range(len(header))]
     out = [f"canvas: {model.name}"]
     out.append("  " + " | ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in cells:

@@ -29,6 +29,7 @@ from util import (
     random_identification,
     random_pair,
     reference_blocking_sets,
+    reference_diff_presheaves,
     reference_emergent_sections,
     reference_overlap_union_report,
 )
@@ -555,6 +556,95 @@ def test_commands_answer_like_the_references_on_random_workspaces(capsys, tmp_pa
     assert min(outcomes.values()) > 50, outcomes
 
 
+def _expected_diff(artifacts, left, right):
+    per_object = reference_diff_presheaves(
+        compile_model(artifacts[left]), compile_model(artifacts[right])
+    )
+    dirty = {u: d for u, d in per_object.items() if d.only_in_left or d.only_in_right}
+    if dirty:
+        lines = [f"{left} vs {right}:"]
+        for u, d in dirty.items():
+            lines += [f"  {u}: < {a}" for a in d.only_in_left]
+            lines += [f"  {u}: > {a}" for a in d.only_in_right]
+    else:
+        lines = [f"{left} and {right} agree on all shared objects"]
+    payload = {
+        "command": "diff",
+        "exit": 0,
+        "objects": {
+            str(u): {
+                "only_in_left": [a.as_dict() for a in d.only_in_left],
+                "only_in_right": [a.as_dict() for a in d.only_in_right],
+            }
+            for u, d in dirty.items()
+        },
+    }
+    return lines, payload
+
+
+def _dot_nodes(lines):
+    return [line for line in lines if "[label=" in line]
+
+
+def test_diff_and_render_answer_like_the_references_on_random_workspaces(
+    capsys, tmp_path
+):
+    # diff against the reference diff and the node counts of ``render dot``
+    # against the oracle, on the workspaces of the test above, through
+    # ``main`` in both formats, under a random --max-enum: a run answers as
+    # the references do, or is refused on the first model it compiles over
+    # the bound
+    rng = random.Random(18)
+    outcomes = {"refused": 0, "diff": 0, "render": 0}
+    for seed in range(55):
+        path, _, _, artifacts, notes = _random_workspace(seed, tmp_path)
+        left, right = rng.choice(sorted(artifacts)), rng.choice(sorted(artifacts))
+        drawn = rng.choice(sorted(artifacts))
+        runs = [
+            ("diff", ["diff", left, right], [artifacts[left], artifacts[right]]),
+            ("render", ["render", drawn, "dot"], [artifacts[drawn]]),
+        ]
+        for kind, argv, compiled in runs:
+            ahead = [artifacts["M"]] + compiled
+            estimates = [_estimate(m) for m in ahead]
+            for fmt in ("text", "machine"):
+                bound = rng.randint(min(estimates) // 2, 3 * max(estimates))
+                code, out, err = run(
+                    capsys, "--workspace", str(path), "--format", fmt,
+                    "--max-enum", str(bound), *argv,
+                )
+                where = (seed, argv, fmt, bound)
+                over = [m for m in ahead if _estimate(m) > bound]
+                if over:
+                    outcomes["refused"] += 1
+                    first = over[0]
+                    refusal = (
+                        f"refused: presheaf of {first.name!r} refused "
+                        f"(required {_estimate(first)}, bound {bound})\n"
+                    )
+                    before = "" if first is artifacts["M"] else notes
+                    assert (code, out, err) == (3, "", before + refusal), where
+                    continue
+                outcomes[kind] += 1
+                assert (code, err) == (0, notes), where
+                if kind == "diff":
+                    lines, payload = _expected_diff(artifacts, left, right)
+                    got = out.splitlines() if fmt == "text" else json.loads(out)
+                    assert got == (lines if fmt == "text" else payload), where
+                    continue
+                model = artifacts[drawn]
+                nodes = [
+                    f'  "{u}" [label="{u}\\n{len(oracle_sections(model, u))}"];'
+                    for u in compile_model(model).family.objects_sorted
+                ]
+                if fmt == "machine":
+                    body = json.loads(out)
+                    assert sorted(body) == ["command", "exit", "rendering"], where
+                    out = body["rendering"]
+                assert _dot_nodes(out.splitlines()) == nodes, where
+    assert min(outcomes.values()) > 40, outcomes
+
+
 class TestMergeTransferDiff:
     def test_merge_prints_the_emergent_section(self, capsys, hub_path):
         code, out, _ = run(capsys, "--workspace", hub_path, "merge", "PC", "Camcorder")
@@ -861,6 +951,29 @@ def test_each_command_validates_each_presheaf_once(
     assert code == 0
     assert len(validated) == calls
     assert len({id(p) for p in validated}) == calls
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_section_lists_print_from_rows(capsys, monkeypatch, hub_path, fmt):
+    # sections and transfer print the presheaf's rows as they are, without
+    # decoding them to Assignments first
+    built = []
+    init = presh.presheaf.Assignment.__init__
+
+    def counting_init(self, domain, values):
+        built.append((domain, values))
+        init(self, domain, values)
+
+    monkeypatch.setattr(presh.presheaf.Assignment, "__init__", counting_init)
+    for command in (
+        ["sections", "DigitalHub"],
+        ["sections", "DigitalHub", "--count"],
+        ["sections", "Camcorder", "--object", "film,screen"],
+        ["transfer", "AudioVideo", "IMovieHub"],
+    ):
+        code, out, _ = run(capsys, "--workspace", hub_path, "--format", fmt, *command)
+        assert (code, built) == (0, []), command
+        assert out, command
 
 
 def _record_builds(monkeypatch) -> list:
@@ -1199,6 +1312,26 @@ class TestLessTravelledPaths:
         code, out, _ = run(capsys, "--workspace", str(empty), "render", "N", "canvas")
         assert code == 0
         assert out.endswith("sections:\n  (none)\n")
+
+    def test_canvas_without_features_shows_the_empty_section(self, capsys, tmp_path):
+        bare = tmp_path / "bare.psh"
+        bare.write_text("model E\n")
+        code, out, err = run(capsys, "--workspace", str(bare), "render", "E", "canvas")
+        assert (code, err) == (0, "")
+        assert out == "canvas: E\n  value\nsections:\n  *1\n"
+
+    def test_object_spec_with_no_candidate_left_names_only_the_known_part(
+        self, capsys, tmp_path
+    ):
+        single = tmp_path / "single.psh"
+        single.write_text("model A\nfeature a: x | y\n")
+        code, out, err = run(
+            capsys, "--workspace", str(single), "sections", "A", "--object", "a,b"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown feature 'b' in object spec; nearest family objects: {a}\n"
+        )
 
 if __name__ == "__main__":
     GOLDEN_CLI.mkdir(exist_ok=True)
