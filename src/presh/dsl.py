@@ -18,11 +18,15 @@ merge/transfer/check instructions::
     check Hub
 
 Names must be declared before use; parsing never executes anything.  Every
-rejection carries a 1-based source span.  ``serialize`` emits the canonical
-form (tables sorted, one value-map pair per line) and is a fixed point:
-``serialize(parse(serialize(x))) == serialize(x)``.  A model may also hold
-``cover: {a,b}, {c}`` lines; they are accepted and ignored (every subset of
-the features is already an object), so ``serialize`` never writes one.
+rejection carries a 1-based source span.  A table line inside a model, in the
+shape ``serialize`` writes, is read with one regex match and checked as the
+token path checks it; every other line, and a table line that fails a check,
+is tokenized, so every error comes from the token path.  ``serialize`` emits
+the canonical form (tables sorted, one value-map pair per line) and is a
+fixed point: ``serialize(parse(serialize(x))) == serialize(x)``.  A model
+may also hold ``cover: {a,b}, {c}`` lines; they are accepted and ignored
+(every subset of the features is already an object), so ``serialize`` never
+writes one.
 """
 
 from __future__ import annotations
@@ -146,6 +150,20 @@ _TOKEN_RE = re.compile(
       | (?P<bad>.))
     """,
     re.X,
+)
+
+# A table line in the shape ``serialize`` writes: ``allow|forbid (f, ...):``
+# then ``(v, ...)`` tuples, commas between names and between tuples, any
+# blanks and a trailing comment.  Names are the tokenizer's (``\w`` is
+# ``[A-Za-z0-9_]`` under ``re.ASCII``, which also compiles faster), and a
+# name in the pattern ends only at a blank, a comma or a paren, so splitting
+# a match at its commas and parens reads the tokens the tokenizer would.
+_NAME = r"[A-Za-z_][\w-]*"
+_NAMES = rf"[ \t]*{_NAME}(?:[ \t]*,[ \t]*{_NAME})*[ \t]*"
+_TABLE_RE = re.compile(
+    rf"[ \t]*(allow|forbid)[ \t]*\(({_NAMES})\)[ \t]*:"
+    rf"((?:[ \t]*\({_NAMES}\)(?:[ \t]*,[ \t]*\({_NAMES}\))*)?)[ \t]*(?:\#.*)?",
+    re.ASCII,
 )
 
 #: ``(kind, text, line, column)``; spans are built only for errors.
@@ -316,6 +334,12 @@ class _Parser:
 
     def parse(self) -> Workspace:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
+            # an open model means no identify block is (its head closes the
+            # model); a table line in canonical shape needs no tokens
+            if self.model is not None:
+                match = _TABLE_RE.fullmatch(raw)
+                if match is not None and self._read_table(match):
+                    continue
             tokens = _tokenize(raw, lineno, self.source)
             if not tokens:
                 continue
@@ -444,6 +468,27 @@ class _Parser:
             if not line.done():
                 line.expect(",")
 
+    def _read_table(self, match: re.Match) -> bool:
+        """Add the table of a line in canonical shape, unless it breaks a rule
+        that ``_table`` checks: then add nothing, and the line is tokenized
+        so that ``_table`` raises the error."""
+        m = self.model
+        assert m is not None
+        # the groups hold only names, commas and parens between the blanks
+        scope, body = (g.replace(" ", "").replace("\t", "") for g in match.group(2, 3))
+        written = scope.split(",")
+        names = set(written)
+        if len(names) != len(written) or not m.by_name.keys() >= names:
+            return False
+        rows = [t.split(",") for t in body[1:-1].split("),(")] if body else []
+        if any(len(row) != len(written) for row in rows):
+            return False
+        for f, column in zip(written, zip(*rows)):
+            if not m.by_name[f].index.keys() >= set(column):
+                return False
+        self._add_table(match[1], written, rows)
+        return True
+
     def _table(self, line: _Line, polarity: str) -> None:
         line.take()
         m = self.model
@@ -461,10 +506,8 @@ class _Parser:
                 break
         line.expect(")")
         line.expect(":")
-        scope = Subset(written)
-        order = [written.index(f) for f in scope.names]  # written -> canonical
         fibers = [m.by_name[f] for f in written]
-        rows: list[tuple[str, ...]] = []
+        rows: list[list[str]] = []
         while not line.done():
             open_tok = line.expect("(")
             row: list[_Token] = []
@@ -487,10 +530,23 @@ class _Parser:
                         expected=f"one of {'|'.join(fib.values)}",
                         found=vtok[1],
                     )
-            rows.append(tuple([row[i][1] for i in order]))
+            rows.append([v[1] for v in row])
             if not line.done():
                 line.expect(",")
-        m.tables.append(ConstraintTable(scope, polarity, rows))
+        self._add_table(polarity, written, rows)
+
+    def _add_table(
+        self, polarity: str, written: list[str], rows: list[list[str]]
+    ) -> None:
+        """Append the table of checked rows, each in ``written`` scope order:
+        declared, distinct features and values from their fibers."""
+        assert self.model is not None
+        # the names are declared features, so valid and already checked
+        scope = Subset._trusted(tuple(sorted(written)))
+        if scope.names != tuple(written):  # reorder to canonical positions
+            order = [written.index(f) for f in scope.names]
+            rows = [[row[i] for i in order] for row in rows]
+        self.model.tables.append(ConstraintTable(scope, polarity, rows))
 
     # -- workspace items
 

@@ -32,6 +32,7 @@ from util import (
     reference_diff_presheaves,
     reference_emergent_sections,
     reference_overlap_union_report,
+    reference_validate_assignment,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -643,6 +644,88 @@ def test_diff_and_render_answer_like_the_references_on_random_workspaces(
                     out = body["rendering"]
                 assert _dot_nodes(out.splitlines()) == nodes, where
     assert min(outcomes.values()) > 40, outcomes
+
+
+def _expected_check(suites, h, target, artifacts):
+    results = {}
+    for suite in suites:
+        violations = []
+        if suite == "closure":
+            for name in sorted(artifacts):
+                report = reference_validate_assignment(compile_model(artifacts[name]))
+                violations += [f"{name}: {v}" for v in report.violations]
+        elif suite == "analogy" and target in artifacts:
+            pulled = presh.pullback_presheaf(h, compile_model(artifacts["L"]))
+            per_object = reference_diff_presheaves(
+                pulled, compile_model(artifacts[target])
+            )
+            for u, d in per_object.items():
+                violations += [
+                    f"{h.name}: analogy-sections: {a} at {u} only in the target"
+                    for a in d.only_in_right
+                ]
+                violations += [
+                    f"{h.name}: analogy-sections: {a} at {u} only in the transfer"
+                    for a in d.only_in_left
+                ]
+        results[suite] = {"passed": not violations, "violations": violations}
+    return results
+
+
+def test_check_answers_like_the_references_on_random_workspaces(capsys, tmp_path):
+    # check's closure suite against the reference validator on every
+    # artifact, and its analogy suite against the reference diff of the
+    # pullback and the target (the target is declared on odd seeds only),
+    # through ``main`` in both formats, under a random --max-enum; the fixed
+    # adjunction and yoneda sweeps run, with the rest, on three seeds only
+    rng = random.Random(19)
+    outcomes = {"refused": 0, "check": 0, "all": 0}
+    for seed in range(80):
+        path, h, target, artifacts, notes = _random_workspace(seed, tmp_path)
+        full = seed in (1, 2, 3)
+        suites = ("closure", "adjunction", "yoneda", "analogy") if full else (
+            "closure", "analogy"
+        )
+        results = _expected_check(suites, h, target, artifacts)
+        # the check directive compiles M; the closure suite then compiles
+        # every artifact in name order
+        ahead = [artifacts["M"]] + [artifacts[n] for n in sorted(artifacts)]
+        estimates = [_estimate(m) for m in ahead]
+        for fmt in ("text", "machine"):
+            bound = rng.randint(min(estimates) // 2, 3 * max(estimates))
+            argv = ["check"] if full else ["check", "--laws=closure,analogy"]
+            code, out, err = run(
+                capsys, "--workspace", str(path), "--format", fmt,
+                "--max-enum", str(bound), *argv,
+            )
+            where = (seed, argv, fmt, bound)
+            over = [m for m in ahead if _estimate(m) > bound]
+            if over:
+                outcomes["refused"] += 1
+                first = over[0]
+                refusal = (
+                    f"refused: presheaf of {first.name!r} refused "
+                    f"(required {_estimate(first)}, bound {bound})\n"
+                )
+                before = "" if first is artifacts["M"] else notes
+                assert (code, out, err) == (3, "", before + refusal), where
+                continue
+            outcomes["all" if full else "check"] += 1
+            failed = any(not r["passed"] for r in results.values())
+            assert (code, err) == (1 if failed else 0, notes), where
+            if fmt == "text":
+                lines = []
+                for suite, r in results.items():
+                    if r["passed"]:
+                        lines.append(f"{suite}: ok")
+                        continue
+                    lines.append(f"{suite}: FAIL ({len(r['violations'])} violations)")
+                    lines += [f"  {v}" for v in r["violations"]]
+                assert out.splitlines() == lines, where
+            else:
+                payload = {"command": "check", "exit": code, "suites": results}
+                assert json.loads(out) == payload, where
+    assert min(outcomes.values()) > 1 and outcomes["check"] > 80, outcomes
 
 
 class TestMergeTransferDiff:

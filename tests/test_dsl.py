@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -308,7 +309,8 @@ class TestRoundTrip:
 
 
 # Parse outcomes pinned byte for byte: one input per rejection the parser
-# can raise, plus seeded 1-3 character mutations of the bundled data files.
+# can raise and per table-line edge case, plus seeded 1-3 character
+# mutations of the bundled data files.
 # Each line holds the outcome of one case: a digest of the canonical text
 # when it parses, else the error's message, span, expected and found.
 # Rewrite the file with ``PYTHONPATH=src python tests/test_dsl.py`` only when
@@ -407,6 +409,19 @@ PARSE_CASES = {
     ),
     "check-undefined": ("workspace", _W + "check B\n"),
     "directive-in-order": ("workspace", _W + "merge A = A + A\n"),
+    # table lines: edge cases of the regex path and shapes only tokens read
+    "table-trailing-comma": ("model", _M + "allow (a, b): (x, p), (y, q),\n"),
+    "table-values-without-commas": ("model", _M + "allow (a, b): (x p), (y q)\n"),
+    "table-without-blanks": ("model", _M + "allow(a):(x)\n"),
+    "table-tab-separators": ("model", _M + "forbid\t(a,\tb):\t(x,\tp),\t(y,\tq)\n"),
+    "table-trailing-comment": ("model", _M + "allow (a): (x), (y)  # both\n"),
+    "table-empty-body": ("model", _M + "allow (a):\n"),
+    "table-duplicate-tuples": ("model", _M + "forbid (a, b): (x, p), (x, p)\n"),
+    "table-hyphenated-value": (
+        "model", "model m\nfeature a: x-1 | y\nallow (a): (x-1)\n"
+    ),
+    "table-arrow-in-tuple": ("model", _M + "allow (a): (x->y)\n"),
+    "table-scope-out-of-order": ("model", _M + "forbid (b, a): (p, x), (q, y)\n"),
 }
 _ALPHABET = (
     "abcdefghijklmnopqrstuvwxyzABCXYZ0123456789_ \t\n"
@@ -469,6 +484,80 @@ def _parse_record() -> str:
 
 def test_parse_outcomes_match_golden():
     assert _parse_record() == PARSE_GOLDEN.read_text(encoding="utf-8")
+
+
+def _swap_name(text: str, seed: int) -> str:
+    # one name on one table line becomes another feature or value name, or
+    # an undeclared one: a repeated or unknown feature, a value out of its
+    # fiber, or a table that still reads
+    rng = random.Random(seed)
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith(("allow", "forbid"))]
+    if not at:
+        return text
+    i = rng.choice(at)
+    names = list(re.finditer(r"[A-Za-z_][A-Za-z0-9_-]*", lines[i]))[1:]
+    hit = rng.choice(names)
+    fresh = rng.choice(sorted(set(re.findall(r"\b[xv]\d\b", text))) + ["x9", "v9"])
+    lines[i] = lines[i][: hit.start()] + fresh + lines[i][hit.end() :]
+    return "".join(lines)
+
+
+def _random_model_texts():
+    for seed in range(150):
+        text = serialize(random_model(seed, max_tables=4))
+        yield text
+        for k in range(4):
+            yield _mutate(text, 1000 * seed + k)
+            yield _swap_name(text, 1000 * seed + k)
+
+
+def test_table_regex_and_token_path_agree(monkeypatch):
+    # canonical table lines are read with one regex match and every other
+    # line is tokenized: parsing with a regex that never matches (every
+    # table on the token path) must give the same digest, or the same
+    # error, span, expected and found, on seeded texts and their mutations
+    declined = []
+    read_table = dsl._Parser._read_table
+
+    def counting(self, match):
+        added = read_table(self, match)
+        declined.append(not added)
+        return added
+
+    monkeypatch.setattr(dsl._Parser, "_read_table", counting)
+    texts = list(_random_model_texts())
+    as_shipped = [_parse_outcome("model", t) for t in texts]
+    # both branches of the regex path, and errors as well as models
+    assert sum(declined) > 50 and declined.count(False) > 500, len(declined)
+    assert sum("error" in o for o in as_shipped) > 200
+    monkeypatch.setattr(dsl, "_TABLE_RE", re.compile(r"(?!)"))
+    assert [_parse_outcome("model", t) for t in texts] == as_shipped
+
+
+def test_canonical_table_lines_are_never_tokenized(monkeypatch):
+    # a silent fallback to the token path would keep every outcome and lose
+    # the speed, so it is pinned here: no table line that ``serialize``
+    # wrote, or that the bundled files hold, reaches the tokenizer
+    tokenized = []
+    tokenize = dsl._tokenize
+
+    def recording(line, lineno, source):
+        tokenized.append(line)
+        return tokenize(line, lineno, source)
+
+    monkeypatch.setattr(dsl, "_tokenize", recording)
+    tables = 0
+    for seed in range(150):
+        text = serialize(random_model(seed, max_tables=4))
+        parse_model(text)
+        tables += text.count("\nallow (") + text.count("\nforbid (")
+    for name in DATA_FILES:
+        parse_workspace_file(DATA_DIR / name)
+    assert tables > 200
+    assert tokenized and not [
+        line for line in tokenized if line.startswith(("allow", "forbid"))
+    ]
 
 
 if __name__ == "__main__":
