@@ -120,12 +120,17 @@ class Model(Frozen):
             if fib.feature in seen:
                 raise MalformedInputError(f"feature {fib.feature!r} declared twice")
             seen[fib.feature] = fib
+        values = {f: set(fib.values) for f, fib in seen.items()}
         for table in tables:
             for f in table.scope:
                 if f not in seen:
                     raise MalformedInputError(
                         f"constraint scope names unknown feature {f!r}"
                     )
+            columns = zip(table.scope.names, zip(*table.tuples))
+            if all(values[f].issuperset(column) for f, column in columns):
+                continue
+            # a value is outside its fiber: name the first one, row by row
             for row in table.tuples:
                 for f, v in zip(table.scope.names, row):
                     if v not in seen[f]:
@@ -186,7 +191,8 @@ class _CompiledModel:
 
     ``base[f]`` is the fiber of ``f`` cut down by the one-feature tables on
     it.  ``by_last[f]`` holds, for each wider table whose last scope feature
-    is ``f``, the other scope features and a map from their values (a bare
+    is ``f``, a test of whether an object's names hold the table's other
+    scope features, those features, and a map from their values (a bare
     value for one feature, a tuple for several, as ``itemgetter`` reads them)
     to the admitted values of ``f``, in ``base[f]`` order.
     """
@@ -211,18 +217,20 @@ class _CompiledModel:
             }
             default = () if keep else base
             if rest:
-                self.by_last[last].append((tuple(rest), admitted, default))
+                self.by_last[last].append(
+                    (frozenset(rest).issubset, tuple(rest), admitted, default)
+                )
             else:
                 self.base[last] = admitted.get((), default)
 
     def extend(self, prefix_rows: list[tuple], names: tuple[str, ...]) -> list[tuple]:
         """The rows at the object ``names``, from the rows at ``names[:-1]``."""
         last = names[-1]
-        slot = {f: i for i, f in enumerate(names)}
+        index = names.index
         checks = [
-            (itemgetter(*(slot[f] for f in rest)), admitted, default)
-            for rest, admitted, default in self.by_last[last]
-            if all(f in slot for f in rest)
+            (itemgetter(*map(index, rest)), admitted, default)
+            for fits, rest, admitted, default in self.by_last[last]
+            if fits(names)
         ]
         return kernel.enumerate_assignments(prefix_rows, self.base[last], checks)
 
@@ -230,14 +238,16 @@ class _CompiledModel:
 class _ObjectRows(Mapping):
     """The rows of a compiled model at each family object, built on first read.
 
-    Reading an object builds it from its longest already-built prefix object,
-    one :meth:`_CompiledModel.extend` step per feature, and keeps every
-    object on the way, so a reader pays only for the prefix chains it
-    touches.  Iteration and ``len`` cover every object of the family in
-    shortlex order, and membership builds nothing.  ``items``, ``values``
-    and ``==`` read the objects in that order, where each object's prefix
-    object comes earlier, so every read extends an object already built by
-    one feature.  A ``Subset`` outside the family raises ``KeyError``.
+    Reading an object builds its prefix object (the object minus its last
+    feature) first where that is not built yet, then the object itself in
+    one :meth:`_CompiledModel.extend` step, and keeps every object on the
+    way, so a reader pays only for the prefix chains it touches.  Iteration
+    and ``len`` cover every object of the family in shortlex order, and
+    membership builds nothing.  ``items``, ``values`` and ``==`` read the
+    objects in that order, where each object's prefix object comes earlier,
+    so every read is one step from an object already built.  ``get`` gives
+    ``default`` and ``[]`` raises ``KeyError`` for anything that is not a
+    family object.
     """
 
     def __init__(self, family: CoverFamily, enc: _CompiledModel):
@@ -247,25 +257,30 @@ class _ObjectRows(Mapping):
         self._built: dict[tuple[str, ...], tuple[tuple, ...]] = {(): ((),)}
 
     def __getitem__(self, u: Subset) -> tuple[tuple, ...]:
+        # a built object is a family object; any other read goes through
+        # ``get``, the one place that decides what a family object is
         try:
             rows = self._built.get(u.names)
         except AttributeError:
             raise KeyError(u) from None
         if rows is None:
-            if u not in self._family:
+            rows = self.get(u)
+            if rows is None:
                 raise KeyError(u)
-            rows = self._build(u.names)
         return rows
 
+    def get(self, u: Subset, default=None):
+        if u not in self._family:
+            return default
+        rows = self._built.get(u.names)
+        return self._build(u.names) if rows is None else rows
+
     def _build(self, names: tuple[str, ...]) -> tuple[tuple, ...]:
-        built = self._built
-        k = len(names) - 1
-        while names[:k] not in built:
-            k -= 1
-        rows = built[names[:k]]
-        for end in range(k + 1, len(names) + 1):
-            prefix = names[:end]
-            rows = built[prefix] = tuple(self._enc.extend(rows, prefix))
+        prefix = names[:-1]
+        rows = self._built.get(prefix)
+        if rows is None:
+            rows = self._build(prefix)
+        rows = self._built[names] = tuple(self._enc.extend(rows, names))
         return rows
 
     def __iter__(self) -> Iterator[Subset]:

@@ -254,23 +254,38 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     """Fiber typing and restriction closure in one shortlex pass.
 
     Typing (sections present, no duplicates, arities, fiber values) is
-    checked at every object.  Closure is judged along the cover pairs of the
+    judged at every object.  Closure is judged along the cover pairs of the
     family poset, which implies closure along every inclusion (projections
     compose), so checking covers is a complete violation detector and
     pinpoints the minimal broken step.  Every object's covers lie below it
     and so come earlier in shortlex, where their rows are already at hand.
     Closure is only judged while no typing violation has been seen: a
     presheaf with typing violations is reported by those alone.
+
+    The fiber values of an object ``u`` with two or more features are not
+    read when no typing violation has been seen and closure holds at every
+    cover of ``u``: each value in column ``f`` of ``u`` then appears in
+    column ``f`` at ``u`` minus some other feature, where typing has already
+    passed.  The columns are read at objects of zero or one feature, once
+    any typing violation exists, and wherever a cover fails, so a typing
+    violation is found, and wins the report, exactly where it would be if
+    every object were read.
     """
     typing: list[Violation] = []
     closure: list[Violation] = []
     fiber_values = {f: set(fib.values) for f, fib in p.fibers.items()}
     tuple_sets: dict[tuple[str, ...], frozenset[tuple[str, ...]]] = {}
-    # Dropping position i of a k-feature row is the same map at every
-    # object, and rows are walked one by one only where a drop fails.
-    drops: dict[tuple[int, int], Callable[[tuple], tuple]] = {}
+    # ``drops[k]`` drops each position of a k-feature row, last position
+    # first (``CoverFamily.covers`` order); the same map takes an object's
+    # names to the cover's, and rows are walked one by one only where a
+    # cover fails.
+    drops = [
+        [_projection(tuple(j for j in range(k) if j != i)) for i in range(k - 1, -1, -1)]
+        for k in range(len(p.family.universe.names) + 1)
+    ]
+    rows_at = p.rows.get
     for u in p.family.objects_sorted:
-        stored = p.rows.get(u)
+        stored = rows_at(u)
         names = u.names
         if stored is None:
             typing.append(Violation("sections-missing", f"no sections at {u}", (u,)))
@@ -280,12 +295,37 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
         if len(rows) != len(stored):
             typing.append(Violation("duplicate-section", f"repeated assignment at {u}", (u,)))
         k = len(names)
-        ragged = [row for row in rows if len(row) != k]
-        for row in ragged:
-            typing.append(
-                Violation("domain-mismatch", f"arity {len(row)} row at {u}", (u, row))
-            )
-        well = rows if not ragged else [r for r in rows if len(r) == k]
+        well = rows
+        if set(map(len, rows)) != {k}:
+            for row in rows:
+                if len(row) != k:
+                    message = f"arity {len(row)} row at {u}"
+                    typing.append(Violation("domain-mismatch", message, (u, row)))
+            well = [r for r in rows if len(r) == k]
+        tuple_sets[names] = rows
+        vouched = False
+        if stored and not typing:
+            vouched = k >= 2
+            for project in drops[k]:
+                below_names = project(names)
+                at_below = tuple_sets[below_names]
+                if at_below.issuperset(map(project, stored)):
+                    continue
+                vouched = False
+                below = Subset._trusted(below_names)
+                for row in stored:
+                    projected = project(row)
+                    if projected not in at_below:
+                        b, witness = Assignment(u, row), Assignment(below, projected)
+                        closure.append(
+                            Violation(
+                                "restriction-closure",
+                                f"{b} at {u} projects to {witness}, absent at {below}",
+                                (below, u, b),
+                            )
+                        )
+        if vouched:
+            continue
         for f, column in zip(names, zip(*well)):
             allowed = fiber_values.get(f)
             used = set(column)
@@ -293,31 +333,6 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
                 for v in sorted(used - (allowed or set())):
                     typing.append(
                         Violation("fiber-typing", f"{f}={v} outside the fiber", (u, v))
-                    )
-        tuple_sets[names] = rows
-        if typing or not stored:
-            continue
-        # the covers below u, in ``CoverFamily.covers`` order: last feature first
-        for i in range(k - 1, -1, -1):
-            project = drops.get((k, i))
-            if project is None:
-                kept = tuple(range(i)) + tuple(range(i + 1, k))
-                project = drops[(k, i)] = _projection(kept)
-            below_names = names[:i] + names[i + 1 :]
-            at_below = tuple_sets[below_names]
-            if at_below.issuperset(map(project, stored)):
-                continue
-            below = Subset._trusted(below_names)
-            for row in stored:
-                projected = project(row)
-                if projected not in at_below:
-                    b, witness = Assignment(u, row), Assignment(below, projected)
-                    closure.append(
-                        Violation(
-                            "restriction-closure",
-                            f"{b} at {u} projects to {witness}, absent at {below}",
-                            (below, u, b),
-                        )
                     )
     return LawReport(tuple(typing or closure))
 

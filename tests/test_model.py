@@ -112,7 +112,7 @@ class TestObjectRows:
 
     def test_outside_the_family_is_missing(self, org):
         p = compile_model(org)
-        for key in (S("zz"), S("size", "zz"), "size", None):
+        for key in (S("zz"), S("size", "zz"), "size", "x0", 0, None):
             assert key not in p.rows
             assert p.rows.get(key) is None
             with pytest.raises(KeyError):
@@ -135,6 +135,14 @@ class TestObjectRows:
         assert built == [("a",), ("a", "c"), ("a", "c", "d"), ("b",)]
         assert len(p.rows[S("a", "b", "c", "d")]) == 16
         assert built[4:] == [("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
+        # a full shortlex read extends each non-empty object once, in order
+        for seed in range(10):
+            built.clear()
+            p = compile_model(random_model(seed, max_features=5))
+            objects = p.family.objects_sorted
+            assert all(u in p.rows for u in objects) and built == []
+            assert validate_laws(p).passed
+            assert built == [u.names for u in objects[1:]]
 
     def test_equal_to_the_same_rows_read_in_any_order(self):
         for seed in range(20):
@@ -204,6 +212,11 @@ class TestModelValue:
                 [Fiber("a", ("x",))],
                 [ConstraintTable(S("a"), "allow", [("zz",)])],
             )
+        # the first bad value in row order is named, not the first by column
+        fibers = [Fiber("a", ("x", "z")), Fiber("b", ("x",))]
+        table = ConstraintTable(S("a", "b"), "allow", [("x", "q"), ("y", "x")])
+        with pytest.raises(MalformedInputError, match="'q' is not in the fiber of 'b'"):
+            Model("m", fibers, [table])
 
     def test_tables_canonicalized(self):
         t1 = ConstraintTable(S("a"), "forbid", [("y",), ("x",)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from presh import presheaf as presheaf_mod
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset, close_family
-from presh.model import compile_model, random_model
+from presh.model import ConstraintTable, Model, compile_model, random_model
 from presh.presheaf import (
     AbstractPresheaf,
     Assignment,
@@ -141,6 +141,46 @@ class TestValidateLaws:
             "domain-mismatch",
             "fiber-typing",
             "duplicate-section",
+        }
+
+    def test_typing_unread_behind_closure_matches_reference(self):
+        # Above one feature, closure at every cover vouches for the fiber
+        # values; each case breaks typing where that reasoning must not skip it.
+        m = Model(
+            "m",
+            [Fiber(f, ("x", "y", "zz")) for f in "abc"],
+            [ConstraintTable(S("a", "b"), "forbid", [("x", "y")])],
+        )
+        p = compile_model(m)
+        rows = dict(p.rows.items())
+        objects = p.family.objects_sorted
+        narrow = {f: Fiber(f, ("x", "y")) for f in "abc"}
+
+        def report(fibers, rows):
+            broken = AssignmentPresheaf(p.family, fibers, rows)
+            got = validate_laws(broken)
+            assert got == reference_validate_assignment(broken)
+            return {(v.law, v.witness[0]) for v in got.violations}
+
+        # ``a=zz`` is closed downward: it sits at every object holding ``a``,
+        # so closure holds everywhere and typing fails from {a} up
+        assert report({**p.fibers, "a": narrow["a"]}, rows) == {
+            ("fiber-typing", u) for u in objects if "a" in u
+        }
+        # the fibers lack ``b``: every value at an object holding ``b`` is untyped
+        assert report({f: p.fibers[f] for f in "ac"}, rows) == {
+            ("fiber-typing", u) for u in objects if "b" in u
+        }
+        # a row at {a,b} breaks closure at its cover {a} and typing at {a,b}
+        clean = {
+            u: tuple(r for r in stored if "zz" not in r) for u, stored in rows.items()
+        }
+        assert report(narrow, clean) == set()
+        ab = S("a", "b")
+        bad = {**clean, ab: clean[ab] + (("q", "x"),)}
+        assert report(narrow, bad) == {("fiber-typing", ab)}
+        assert report({**narrow, "a": Fiber("a", ("x", "y", "q"))}, bad) == {
+            ("restriction-closure", S("a"))
         }
 
     def test_fiber_typing_checked(self):
