@@ -233,6 +233,17 @@ def restriction_functor_r(v: Subset, s1: Subset) -> Subset:
     return v.intersection(s1)
 
 
+def _shortlex_masks(bits: tuple[int, ...]) -> list[int]:
+    """The mask of every subset of ``bits``, in shortlex order of the names
+    behind them when ``bits`` stand for sorted names in increasing order."""
+    return [sum(combo) for k in range(len(bits) + 1) for combo in combinations(bits, k)]
+
+
+def _subset_of_mask(names: tuple[str, ...], mask: int) -> Subset:
+    """The subset of the sorted, validated ``names`` whose bits are set in ``mask``."""
+    return Subset._trusted(tuple(n for i, n in enumerate(names) if mask >> i & 1))
+
+
 def check_adjunction_triple(s1: Subset, s2: Subset) -> LawReport:
     """Verify that intersection-restriction sits between inclusion and padding.
 
@@ -243,10 +254,11 @@ def check_adjunction_triple(s1: Subset, s2: Subset) -> LawReport:
     * V ∩ s1 ⊆ U  ⇔  V ⊆ U ∪ (s2∖s1) (restriction is left adjoint to padding)
 
     The sweep is exhaustive over both power sets and refuses above
-    ``ADJUNCTION_SWEEP_BOUND`` features rather than sampling.  It runs on
-    int bitmasks over ``s2.names`` (bit i for the i-th name), so meet is
-    ``&``, join is ``|`` and ``a ⊆ b`` is ``not a & ~b``; ``Subset``s serve
-    only as witnesses, in shortlex order.
+    ``ADJUNCTION_SWEEP_BOUND`` features rather than sampling.  It walks int
+    bitmasks over ``s2.names`` (bit i for the i-th name), U and V each in
+    shortlex order, so meet is ``&``, join is ``|`` and ``a ⊆ b`` is
+    ``not a & ~b``.  A ``Subset`` is built only for the U and V a violation
+    names.
     """
     if not s1.issubset(s2):
         raise MalformedInputError(f"need {s1} ⊆ {s2}")
@@ -256,33 +268,30 @@ def check_adjunction_triple(s1: Subset, s2: Subset) -> LawReport:
             required=4 ** len(s2),
             bound=4**ADJUNCTION_SWEEP_BOUND,
         )
-    bit = {name: 1 << i for i, name in enumerate(s2.names)}
-
-    def with_masks(names: tuple[str, ...]) -> list[tuple[Subset, int]]:
-        return [(u, sum(bit[n] for n in u.names)) for u in _shortlex(names)]
-
-    s1_mask = sum(bit[n] for n in s1.names)
-    pad = ((1 << len(s2)) - 1) & ~s1_mask
-    outer = with_masks(s2.names)
+    names = s2.names
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    s1_bits = tuple(bit[n] for n in s1.names)
+    s1_mask = sum(s1_bits)
+    pad = ((1 << len(names)) - 1) & ~s1_mask
+    # Each V with its complement, its cut V∩S1 and the cut's complement.
+    outer = [
+        (v, ~v, v & s1_mask, ~(v & s1_mask))
+        for v in _shortlex_masks(tuple(bit.values()))
+    ]
     violations: list[Violation] = []
-    for u, u_mask in with_masks(s1.names):
-        padded = u_mask | pad
-        for v, v_mask in outer:
-            cut = v_mask & s1_mask
-            if (not u_mask & ~v_mask) != (not u_mask & ~cut):
-                violations.append(
-                    Violation(
-                        "adjunction-left",
-                        f"U ⊆ V disagrees with U ⊆ V∩S1 at U={u}, V={v}",
-                        (u, v),
-                    )
-                )
-            if (not cut & ~u_mask) != (not v_mask & ~padded):
-                violations.append(
-                    Violation(
-                        "adjunction-right",
-                        f"V∩S1 ⊆ U disagrees with V ⊆ U∪(S2∖S1) at U={u}, V={v}",
-                        (u, v),
-                    )
+
+    def witness(law: str, disagreement: str, u: int, v: int) -> None:
+        wu, wv = _subset_of_mask(names, u), _subset_of_mask(names, v)
+        violations.append(Violation(law, f"{disagreement} at U={wu}, V={wv}", (wu, wv)))
+
+    for u in _shortlex_masks(s1_bits):
+        not_u = ~u
+        not_padded = ~(u | pad)
+        for v, not_v, cut, not_cut in outer:
+            if (not u & not_v) != (not u & not_cut):
+                witness("adjunction-left", "U ⊆ V disagrees with U ⊆ V∩S1", u, v)
+            if (not cut & not_u) != (not v & not_padded):
+                witness(
+                    "adjunction-right", "V∩S1 ⊆ U disagrees with V ⊆ U∪(S2∖S1)", u, v
                 )
     return LawReport(tuple(violations))

@@ -111,6 +111,7 @@ class Model(Frozen):
         labels: Mapping[str, str] | None = None,
     ):
         check_feature_name(name)
+        tables = tuple(tables)  # read twice below: checked, then canonicalized
         if isinstance(fibers, Mapping):
             fiber_list = list(fibers.values())
         else:

@@ -26,7 +26,14 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import EnumerationBoundError, MalformedInputError
-from .lattice import CoverFamily, Subset, _shortlex, check_feature_name, close_family
+from .lattice import (
+    CoverFamily,
+    Subset,
+    _shortlex,
+    _shortlex_masks,
+    check_feature_name,
+    close_family,
+)
 from .report import Frozen, LawReport, Violation
 
 #: Refuse natural-transformation enumerations with more raw candidates than
@@ -486,13 +493,15 @@ def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
 def representable(family: CoverFamily, c: Subset) -> AbstractPresheaf:
     """The presheaf of arrows into ``c``: one element at D exactly when D ⊆ c."""
     family.require(c)
-    elements = {
-        d: ((HOM_TOKEN,) if d.issubset(c) else ()) for d in family.objects_sorted
-    }
-    restrictions = {
-        (u, v): ({HOM_TOKEN: HOM_TOKEN} if v.issubset(c) else {})
-        for u, v in family.inclusions()
-    }
+    inside = frozenset(c.names).issuperset
+    elements: dict[Subset, tuple[str, ...]] = {}
+    restrictions: dict[tuple[Subset, Subset], dict[str, str]] = {}
+    # The walk of ``family.inclusions()``, deciding V ⊆ c once per V.
+    for v in family.objects_sorted:
+        hom = inside(v.names)
+        elements[v] = (HOM_TOKEN,) if hom else ()
+        for u in _shortlex(v.names):
+            restrictions[(u, v)] = {HOM_TOKEN: HOM_TOKEN} if hom else {}
     return AbstractPresheaf(family, elements, restrictions)
 
 
@@ -512,13 +521,17 @@ def nat_transformations(
     sampling) when the raw candidate count exceeds ``NAT_ENUM_BOUND``.
     """
     _same_family(fsrc, gtgt)
-    family = fsrc.family
-    needed = [d for d in family.objects_sorted if fsrc.elements[d]]
-    if any(not gtgt.elements[d] for d in needed):
+    objects = fsrc.family.objects_sorted
+    # masks[j] has bit i for the i-th universe name in objects[j].
+    masks = _shortlex_masks(tuple(1 << i for i in range(len(fsrc.family.universe))))
+    src = [fsrc.elements[d] for d in objects]
+    needed = [j for j, elements in enumerate(src) if elements]
+    tgt = {j: gtgt.elements[objects[j]] for j in needed}
+    if any(not tgt[j] for j in needed):
         return ()
     raw = 1
-    for d in needed:
-        raw *= len(gtgt.elements[d]) ** len(fsrc.elements[d])
+    for j in needed:
+        raw *= len(tgt[j]) ** len(src[j])
     if raw > NAT_ENUM_BOUND:
         raise EnumerationBoundError(
             "natural-transformation search refused", required=raw, bound=NAT_ENUM_BOUND
@@ -526,32 +539,34 @@ def nat_transformations(
 
     order = needed[::-1]
     results: list[NatTransformation] = []
-    chosen: dict[Subset, dict[str, str]] = {}
+    chosen: dict[int, dict[str, str]] = {}
 
-    def commutes(d: Subset, comp: dict[str, str]) -> bool:
-        # Every chosen object comes after ``d`` in shortlex order, so none is
-        # a proper subset of ``d``: only restrictions from supersets apply.
-        for e, emap in chosen.items():
-            if not d.issubset(e):
+    def commutes(j: int, comp: dict[str, str]) -> bool:
+        # Every chosen object comes after ``objects[j]`` in shortlex order, so
+        # none is a proper subset of it: only restrictions from supersets apply.
+        d, d_mask = objects[j], masks[j]
+        for k, emap in chosen.items():
+            if d_mask & ~masks[k]:
                 continue
-            for x in fsrc.elements[e]:
-                if comp[fsrc.restrict(x, e, d)] != gtgt.restrict(emap[x], e, d):
+            square = (d, objects[k])
+            f_de, g_de = fsrc.restrictions[square], gtgt.restrictions[square]
+            for x, y in emap.items():
+                if comp[f_de[x]] != g_de[y]:
                     return False
         return True
 
     def search(i: int) -> None:
         if i == len(order):
-            components = {d: dict(chosen.get(d, {})) for d in family.objects_sorted}
+            components = {d: dict(chosen.get(j, {})) for j, d in enumerate(objects)}
             results.append(NatTransformation(components))
             return
-        d = order[i]
-        src = fsrc.elements[d]
-        for images in product(gtgt.elements[d], repeat=len(src)):
-            comp = dict(zip(src, images))
-            if commutes(d, comp):
-                chosen[d] = comp
+        j = order[i]
+        for images in product(tgt[j], repeat=len(src[j])):
+            comp = dict(zip(src[j], images))
+            if commutes(j, comp):
+                chosen[j] = comp
                 search(i + 1)
-                del chosen[d]
+                del chosen[j]
 
     search(0)
     return tuple(results)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presh import lattice
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import (
     Subset,
+    _shortlex,
     check_adjunction_triple,
     close_family,
     extend_functor_f1,
@@ -17,6 +19,7 @@ from presh.lattice import (
     restrict_family,
     restriction_functor_r,
 )
+from presh.report import Violation
 
 from util import (
     brute_force_covers,
@@ -291,6 +294,45 @@ class TestAdjunction:
                 ), (s1, s2)
                 pairs += 1
         assert pairs == 3**5
+
+    def test_sweep_walks_both_power_sets_in_shortlex_order(self, monkeypatch):
+        walks = []
+        real = lattice._shortlex_masks
+
+        def recording(bits):
+            walks.append(real(bits))
+            return walks[-1]
+
+        monkeypatch.setattr(lattice, "_shortlex_masks", recording)
+        for s2 in close_family(Subset(f"a{i}" for i in range(5))).objects_sorted:
+            for s1 in close_family(s2).objects_sorted:
+                walks.clear()
+                check_adjunction_triple(s1, s2)
+                outer, inner = [
+                    [Subset(n for i, n in enumerate(s2.names) if m >> i & 1) for m in walk]
+                    for walk in walks
+                ]
+                assert outer == list(_shortlex(s2.names)), (s1, s2)
+                assert inner == list(_shortlex(s1.names)), (s1, s2)
+
+    def test_a_forced_violation_names_u_and_v_in_sweep_order(self, monkeypatch):
+        # U walks all of S2, not only S1: every U ⊄ S1 inside V breaks the left law
+        s2, s1 = S("a", "b", "c"), S("b")
+        real = lattice._shortlex_masks
+        monkeypatch.setattr(lattice, "_shortlex_masks", lambda bits: real((1, 2, 4)))
+        power_set = sorted(full_power_set(s2), key=Subset.key)
+        expected = [
+            Violation(
+                "adjunction-left",
+                f"U ⊆ V disagrees with U ⊆ V∩S1 at U={u}, V={v}",
+                (u, v),
+            )
+            for u in power_set
+            for v in power_set
+            if u.issubset(v) and not u.issubset(v.intersection(s1))
+        ]
+        assert len(expected) == 15
+        assert check_adjunction_triple(s1, s2).violations == tuple(expected)
 
 
 class TestIsSubobject:

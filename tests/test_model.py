@@ -224,6 +224,20 @@ class TestModelValue:
         assert len(m.tables) == 1
         assert m.tables[0].tuples == (("x",), ("y",))
 
+    def test_tables_from_a_generator_equal_tables_from_a_list(self):
+        fibers = [Fiber("a", ("x", "y")), Fiber("b", ("x",))]
+        tables = [
+            ConstraintTable(S("a"), "forbid", [("y",)]),
+            ConstraintTable(S("a", "b"), "allow", [("x", "x"), ("y", "x")]),
+        ]
+        listed = Model("m", fibers, tables)
+        assert len(listed.tables) == 2
+        assert Model("m", fibers, (t for t in tables)) == listed
+        # a bad value is still found when the tables come from a generator
+        bad = ConstraintTable(S("b"), "allow", [("zz",)])
+        with pytest.raises(MalformedInputError, match="'zz' is not in the fiber of 'b'"):
+            Model("m", fibers, (t for t in [bad]))
+
     def test_arity_checked(self):
         with pytest.raises(MalformedInputError):
             ConstraintTable(S("a", "b"), "allow", [("x",)])

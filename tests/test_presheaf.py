@@ -31,6 +31,7 @@ from presh.presheaf import (
 from util import (
     one_step_projection_fixpoint,
     reference_blocking_sets,
+    reference_nat_transformations,
     reference_validate_abstract,
     reference_validate_assignment,
 )
@@ -556,6 +557,38 @@ class TestNatTransformations:
                     left = nat.at(u)[f.restrict(x, v, u)] if f.elements[u] else None
                     right = g.restrict(nat.at(v)[x], v, u)
                     assert left == right
+
+    def test_matches_brute_force_reference(self):
+        compared = 0
+        for n in range(3):
+            fam = close_family(Subset(f"g{i}" for i in range(n)))
+            representables = [representable(fam, c) for c in fam.objects_sorted]
+            for f_seed in range(12):
+                f = random_abstract_presheaf(f_seed, fam)
+                if f in representables:
+                    continue
+                for g_seed in range(100, 112):
+                    g = random_abstract_presheaf(g_seed, fam)
+                    expected = reference_nat_transformations(f, g)
+                    assert nat_transformations(f, g) == expected, (n, f_seed, g_seed)
+                    compared += len(expected) > 1
+        assert compared >= 20
+
+    def test_matches_brute_force_reference_into_a_non_functorial_target(self):
+        fam = close_family(S("a", "b"))
+        # Identity maps stay identities, but {} ⊆ {b} swaps p and q, so
+        # restricting from {a,b} to {} directly and through {b} disagree.
+        restrictions = {pair: {"p": "p", "q": "q"} for pair in fam.inclusions()}
+        restrictions[(S(), S("b"))] = {"p": "q", "q": "p"}
+        g = AbstractPresheaf(fam, {u: ("p", "q") for u in fam.objects_sorted}, restrictions)
+        assert not validate_laws(g).passed
+        counts = []
+        for seed in range(12):
+            f = random_abstract_presheaf(seed, fam)
+            expected = reference_nat_transformations(f, g)
+            assert nat_transformations(f, g) == expected, seed
+            counts.append(len(expected))
+        assert 0 in counts and max(counts) > 1
 
 
 class TestYoneda:

@@ -4,7 +4,7 @@ production code paths they check."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from presh.errors import EnumerationBoundError, MalformedInputError
@@ -16,6 +16,7 @@ from presh.presheaf import (
     Assignment,
     AssignmentPresheaf,
     Fiber,
+    NatTransformation,
     global_sections,
     restrict_assignment,
     row_projection,
@@ -223,6 +224,44 @@ def reference_validate_abstract(p: AbstractPresheaf) -> LawReport:
                             )
                         )
     return LawReport(tuple(violations))
+
+
+def reference_nat_transformations(
+    f: AbstractPresheaf, g: AbstractPresheaf
+) -> tuple[NatTransformation, ...]:
+    """Every natural transformation ``f -> g`` by brute force: each choice of
+    one map ``f(D) -> g(D)`` per object, kept when every square of every
+    pair u ⊆ v (filtered from all pairs of objects) commutes; kept to check
+    ``nat_transformations`` against, order included.
+
+    The canonical order compares, object by object from the last in
+    shortlex order down, the positions in ``g(D)`` of the images of
+    ``f(D)``'s elements taken in order.
+    """
+    objs = f.family.objects_sorted
+    choices = [
+        [dict(zip(f.elements[d], images))
+         for images in product(g.elements[d], repeat=len(f.elements[d]))]
+        for d in objs
+    ]
+    pairs = [(u, v) for v in objs for u in objs if u.issubset(v)]
+    natural = []
+    for picked in product(*choices):
+        at = dict(zip(objs, picked))
+        if all(
+            at[u][f.restrictions[(u, v)][x]] == g.restrictions[(u, v)][at[v][x]]
+            for u, v in pairs
+            for x in f.elements[v]
+        ):
+            natural.append(at)
+
+    def key(at: dict) -> tuple:
+        return tuple(
+            tuple(g.elements[d].index(at[d][x]) for x in f.elements[d])
+            for d in reversed(objs)
+        )
+
+    return tuple(NatTransformation(at) for at in sorted(natural, key=key))
 
 
 def brute_force_covers(objects) -> list[tuple[Subset, Subset]]:
