@@ -27,7 +27,14 @@ from typing import Mapping
 from .errors import MalformedInputError
 from .lattice import Subset, check_feature_name, restrict_family
 from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
-from .presheaf import Assignment, AssignmentPresheaf, Fiber, decode, row_projection
+from .presheaf import (
+    Assignment,
+    AssignmentPresheaf,
+    Fiber,
+    _projection,
+    decode,
+    row_projection,
+)
 from .report import Frozen, LawReport, Violation
 
 
@@ -224,17 +231,18 @@ def condition(model: Model, a: Assignment) -> Model:
     fibers = [fib for f, fib in model.fibers.items() if f not in value]
     tables = []
     for table in model.tables:
-        common = table.scope.intersection(a.domain)
-        if not len(common):
+        names = table.scope.names
+        inside = tuple(i for i, f in enumerate(names) if f in value)
+        if not inside:
             tables.append(table)
             continue
-        rest = table.scope.difference(a.domain)
-        if not len(rest):
+        outside = tuple(i for i, f in enumerate(names) if f not in value)
+        if not outside:
             continue
-        want = row_projection(a.domain, common)(a.values)
-        agrees = row_projection(table.scope, common)
-        keep = row_projection(table.scope, rest)
+        want = tuple(value[names[i]] for i in inside)
+        agrees, keep = _projection(inside), _projection(outside)
         rows = [keep(row) for row in table.tuples if agrees(row) == want]
+        rest = Subset._trusted(keep(names))
         tables.append(ConstraintTable(rest, table.polarity, rows))
     return Model(model.name, fibers, tables)
 

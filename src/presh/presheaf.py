@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -269,6 +269,12 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     Closure is only judged while no typing violation has been seen: a
     presheaf with typing violations is reported by those alone.
 
+    Each object's rows are transposed into columns once, and that one
+    transpose feeds all three tests: a ragged transpose flags the arities,
+    a cover's projected rows are zipped back from the columns it keeps, so
+    no row is projected one by one unless the cover fails, and the fiber
+    values are read from the columns.
+
     The fiber values of an object ``u`` with two or more features are not
     read when no typing violation has been seen and closure holds at every
     cover of ``u``: each value in column ``f`` of ``u`` then appears in
@@ -284,8 +290,7 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
     tuple_sets: dict[tuple[str, ...], frozenset[tuple[str, ...]]] = {}
     # ``drops[k]`` drops each position of a k-feature row, last position
     # first (``CoverFamily.covers`` order); the same map takes an object's
-    # names to the cover's, and rows are walked one by one only where a
-    # cover fails.
+    # names, or its columns, to the cover's.
     drops = [
         [_projection(tuple(j for j in range(k) if j != i)) for i in range(k - 1, -1, -1)]
         for k in range(len(p.family.universe.names) + 1)
@@ -302,13 +307,18 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
         if len(rows) != len(stored):
             typing.append(Violation("duplicate-section", f"repeated assignment at {u}", (u,)))
         k = len(names)
-        well = rows
-        if set(map(len, rows)) != {k}:
+        try:
+            columns = tuple(zip(*stored, strict=True))
+        except ValueError:
+            ragged = True
+        else:
+            ragged = bool(stored) and len(columns) != k
+        if ragged:
             for row in rows:
                 if len(row) != k:
                     message = f"arity {len(row)} row at {u}"
                     typing.append(Violation("domain-mismatch", message, (u, row)))
-            well = [r for r in rows if len(r) == k]
+            columns = tuple(zip(*(r for r in rows if len(r) == k)))
         tuple_sets[names] = rows
         vouched = False
         if stored and not typing:
@@ -316,7 +326,10 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
             for project in drops[k]:
                 below_names = project(names)
                 at_below = tuple_sets[below_names]
-                if at_below.issuperset(map(project, stored)):
+                # Zipping no columns gives no rows: a one-feature object's
+                # rows all project to the empty row.
+                below_rows = zip(*project(columns)) if below_names else ((),)
+                if at_below.issuperset(below_rows):
                     continue
                 vouched = False
                 below = Subset._trusted(below_names)
@@ -333,7 +346,7 @@ def _validate_assignment(p: AssignmentPresheaf) -> LawReport:
                         )
         if vouched:
             continue
-        for f, column in zip(names, zip(*well)):
+        for f, column in zip(names, columns):
             allowed = fiber_values.get(f)
             used = set(column)
             if allowed is None or not used <= allowed:
@@ -496,12 +509,15 @@ def representable(family: CoverFamily, c: Subset) -> AbstractPresheaf:
     inside = frozenset(c.names).issuperset
     elements: dict[Subset, tuple[str, ...]] = {}
     restrictions: dict[tuple[Subset, Subset], dict[str, str]] = {}
-    # The walk of ``family.inclusions()``, deciding V ⊆ c once per V.
+    # The walk of ``family.inclusions()``, deciding V ⊆ c once per V; the
+    # maps are keyed by the family's own objects, so no ``Subset`` is built.
+    objects = {u.names: u for u in family.objects_sorted}
     for v in family.objects_sorted:
         hom = inside(v.names)
         elements[v] = (HOM_TOKEN,) if hom else ()
-        for u in _shortlex(v.names):
-            restrictions[(u, v)] = {HOM_TOKEN: HOM_TOKEN} if hom else {}
+        for k in range(len(v.names) + 1):
+            for names in combinations(v.names, k):
+                restrictions[(objects[names], v)] = {HOM_TOKEN: HOM_TOKEN} if hom else {}
     return AbstractPresheaf(family, elements, restrictions)
 
 
@@ -516,7 +532,8 @@ def nat_transformations(
     """Enumerate every natural transformation ``fsrc -> gtgt``.
 
     Complete and deterministic: objects are processed from the largest down
-    so restriction constraints prune the component search early; output
+    so restriction constraints prune the component search early, and every
+    square is checked, the identity square at each object included; output
     order is the canonical enumeration order.  Refuses (rather than
     sampling) when the raw candidate count exceeds ``NAT_ENUM_BOUND``.
     """
@@ -540,8 +557,19 @@ def nat_transformations(
     order = needed[::-1]
     results: list[NatTransformation] = []
     chosen: dict[int, dict[str, str]] = {}
+    # The identity square at each object: a component must commute with the
+    # restriction maps along D ⊆ D, which a lawful presheaf makes identities
+    # but a hand-built one need not.
+    loops = {}
+    for j in needed:
+        loop = (objects[j], objects[j])
+        loops[j] = (fsrc.restrictions[loop], gtgt.restrictions[loop])
 
     def commutes(j: int, comp: dict[str, str]) -> bool:
+        f_dd, g_dd = loops[j]
+        for x, y in comp.items():
+            if comp[f_dd[x]] != g_dd[y]:
+                return False
         # Every chosen object comes after ``objects[j]`` in shortlex order, so
         # none is a proper subset of it: only restrictions from supersets apply.
         d, d_mask = objects[j], masks[j]

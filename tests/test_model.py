@@ -243,6 +243,100 @@ class TestModelValue:
             ConstraintTable(S("a", "b"), "allow", [("x",)])
 
 
+class TestModelBoundary:
+    """A model given its fibers, tables and rows as any iterable, in any
+    table order and with repeats, equals the model given them as lists, or
+    raises the same error."""
+
+    FAULTS = (None, None, "empty-scope", "arity", "value", "feature", "polarity")
+
+    def test_any_iterable_builds_what_lists_build(self):
+        built, erred = 0, set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            base = random_model(seed, max_features=4, max_tables=4)
+            fibers = list(base.fibers.values())
+            specs = [
+                [list(t.scope.names), t.polarity, list(t.tuples)] for t in base.tables
+            ]
+            fault = rng.choice(self.FAULTS)
+            if fault == "empty-scope":
+                specs.insert(rng.randint(0, len(specs)), [[], "allow", []])
+            elif fault == "feature":
+                unknown = [["nowhere"], "forbid", [("v0",)]]
+                specs.insert(rng.randint(0, len(specs)), unknown)
+            elif fault and specs:
+                spec = rng.choice(specs)
+                width = len(spec[0])
+                if fault == "arity":
+                    spec[2].append(("v0",) * (width + rng.choice((-1, 1))))
+                elif fault == "value":
+                    spec[2].append(("zz",) * width)
+                else:
+                    spec[1] = "maybe"
+
+            def as_lists():
+                tables = [
+                    ConstraintTable(Subset(names), polarity, list(rows))
+                    for names, polarity, rows in specs
+                ]
+                return Model(base.name, list(fibers), tables)
+
+            def as_anything():
+                tables = []
+                for names, polarity, rows in specs:
+                    rows_in = _reshaped(rng, rows)
+                    if rng.random() < 0.3:
+                        rows_in = map(list, rows_in)
+                    scope = Subset(_reshaped(rng, names))
+                    tables.append(ConstraintTable(scope, polarity, rows_in))
+                if rng.random() < 0.3:
+                    fibers_in = {f.feature: f for f in fibers}
+                else:
+                    fibers_in = _reshaped(rng, fibers, ordered=True)
+                return Model(base.name, fibers_in, _reshaped(rng, tables))
+
+            expected = _outcome(as_lists)
+            for _ in range(3):
+                assert _outcome(as_anything) == expected, (seed, fault)
+            if isinstance(expected, str):
+                erred.add(fault)
+            else:
+                built += 1
+        assert built > 100
+        assert erred == set(self.FAULTS) - {None}
+
+
+def _outcome(build) -> tuple | str:
+    """The model ``build`` returns with its fiber order, or its error."""
+    try:
+        model = build()
+    except MalformedInputError as err:
+        return str(err)
+    return ("model", model, tuple(model.fibers))
+
+
+def _reshaped(rng: random.Random, items: list, *, ordered: bool = False):
+    """The elements of ``items`` as another iterable: a generator or a
+    tuple, or, unless their order and count matter, a set, a reversal, a
+    shuffle or a list with repeats."""
+    shapes = ["generator", "tuple"]
+    if not ordered:
+        shapes += ["set", "reversed", "shuffled", "repeated"]
+    shape = rng.choice(shapes)
+    if shape == "generator":
+        return (x for x in items)
+    if shape == "tuple":
+        return tuple(items)
+    if shape == "set":
+        return set(items)
+    if shape == "reversed":
+        return items[::-1]
+    if shape == "shuffled":
+        return rng.sample(items, len(items))
+    return items + items[: rng.randint(0, len(items))]
+
+
 class TestAgainstOracle:
     def test_sweep(self):
         for seed in range(150):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from presh.presheaf import (
     validate_laws,
     yoneda_check,
 )
+from presh.report import LawReport
 
 from util import (
     one_step_projection_fixpoint,
@@ -43,6 +45,25 @@ def S(*names):
 
 def A(**binding):
     return Assignment.from_mapping(binding)
+
+
+# A compiled three-feature presheaf whose rows the validator tests break.
+_ABC = compile_model(
+    Model(
+        "abc",
+        [Fiber(f, ("x", "y")) for f in "abc"],
+        [ConstraintTable(S("a", "b"), "forbid", [("x", "y")])],
+    )
+)
+
+
+def _checked(rows: dict) -> LawReport:
+    """``validate_laws`` on ``rows`` over ``_ABC``'s family and fibers,
+    checked equal to the reference, witnesses and their order included."""
+    broken = AssignmentPresheaf(_ABC.family, _ABC.fibers, rows)
+    report = validate_laws(broken)
+    assert report == reference_validate_assignment(broken)
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +204,98 @@ class TestValidateLaws:
         assert report({**narrow, "a": Fiber("a", ("x", "y", "q"))}, bad) == {
             ("restriction-closure", S("a"))
         }
+
+    def test_matches_reference_on_wide_broken_presheaves(self):
+        # 5-7 features of three values each, so the upper objects hold
+        # hundreds of rows; each seed breaks one or two objects
+        breaks = ("drop", "missing", "long", "mixed", "fiber", "duplicate")
+        values = ("v0", "v1", "v2")
+        laws, widest = set(), 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            names = [f"x{i}" for i in range(5 + seed % 3)]
+            fibers = [Fiber(f, values) for f in names]
+            tables = [
+                ConstraintTable(
+                    Subset(rng.sample(names, 2)),
+                    "forbid",
+                    [r for r in product(values, repeat=2) if rng.random() < 0.3],
+                )
+                for _ in range(rng.randint(1, 2))
+            ]
+            p = compile_model(Model("m", fibers, tables))
+            rows = {u: list(p.rows[u]) for u in p.family.objects_sorted}
+            widest = max(widest, max(map(len, rows.values())))
+            assert validate_laws(p) == reference_validate_assignment(p)
+            objects = p.family.objects_sorted
+            for kind in rng.sample(breaks, rng.randint(1, 2)):
+                u = rng.choice(objects)
+                if kind == "drop":
+                    rows[u] = [r for r in rows[u] if rng.random() < 0.5]
+                elif kind == "missing":
+                    rows.pop(u, None)
+                elif kind == "long":
+                    rows[u] = [r + ("v0",) for r in rows.get(u, ())]
+                elif kind == "mixed":
+                    width = len(u) - 1 if len(u) else 1
+                    rows.setdefault(u, []).append(("v1",) * width)
+                elif rows.get(u) and len(u):
+                    row = rng.choice(rows[u])
+                    rows[u].append(("zz",) + row[1:] if kind == "fiber" else row)
+            broken = AssignmentPresheaf(
+                p.family, p.fibers, {u: tuple(r) for u, r in rows.items()}
+            )
+            report = validate_laws(broken)
+            assert report == reference_validate_assignment(broken), seed
+            laws.update(v.law for v in report.violations)
+        assert widest >= 300
+        assert laws == {
+            "restriction-closure",
+            "sections-missing",
+            "domain-mismatch",
+            "fiber-typing",
+            "duplicate-section",
+        }
+
+    def test_every_row_one_longer_is_named(self):
+        rows = dict(_ABC.rows.items())
+        ab = S("a", "b")
+        rows[ab] = tuple(r + ("x",) for r in rows[ab])
+        got = _checked(rows)
+        assert len(got.violations) == len(rows[ab]) > 1
+        assert {(v.law, v.witness) for v in got.violations} == {
+            ("domain-mismatch", (ab, r)) for r in rows[ab]
+        }
+
+    def test_mixed_arities_name_the_odd_rows_and_type_the_rest(self):
+        rows = dict(_ABC.rows.items())
+        ab = S("a", "b")
+        # one row too long, one too short, and a row of the right arity
+        # holding a value outside the fiber
+        for odd in ("x", "x", "x"), ("x",):
+            got = _checked({**rows, ab: rows[ab] + (odd, ("zz", "x"))})
+            assert [(v.law, v.witness) for v in got.violations] == [
+                ("domain-mismatch", (ab, odd)),
+                ("fiber-typing", (ab, "zz")),
+            ]
+
+    def test_an_emptied_bottom_fails_closure_at_every_singleton(self):
+        rows = dict(_ABC.rows.items())
+        got = _checked({**rows, S(): ()})
+        singletons = [S(f) for f in "abc"]
+        assert [v.witness[:2] for v in got.violations] == [
+            (S(), u) for u in singletons for _ in rows[u]
+        ]
+        assert {v.law for v in got.violations} == {"restriction-closure"}
+
+    def test_duplicates_beside_a_typing_failure_are_both_named(self):
+        rows = dict(_ABC.rows.items())
+        ab = S("a", "b")
+        got = _checked({**rows, ab: rows[ab] + (rows[ab][0], ("zz", "x"))})
+        assert [(v.law, v.witness) for v in got.violations] == [
+            ("duplicate-section", (ab,)),
+            ("fiber-typing", (ab, "zz")),
+        ]
 
     def test_fiber_typing_checked(self):
         fam = close_family(S("a"))
@@ -589,6 +702,22 @@ class TestNatTransformations:
             assert nat_transformations(f, g) == expected, seed
             counts.append(len(expected))
         assert 0 in counts and max(counts) > 1
+
+    def test_identity_square_is_checked(self):
+        fam = close_family(S("a"))
+        # every map is the identity except {a} ⊆ {a}, which swaps p and q
+        restrictions = {pair: {"p": "p", "q": "q"} for pair in fam.inclusions()}
+        restrictions[(S("a"), S("a"))] = {"p": "q", "q": "p"}
+        elements = {u: ("p", "q") for u in fam.objects_sorted}
+        g = AbstractPresheaf(fam, elements, restrictions)
+        f = representable(fam, S("a"))
+        assert reference_nat_transformations(f, g) == ()
+        assert nat_transformations(f, g) == ()
+        assert not yoneda_check(g, S("a")).passed
+        for seed in range(12):
+            f = random_abstract_presheaf(seed, fam)
+            expected = reference_nat_transformations(f, g)
+            assert nat_transformations(f, g) == expected, seed
 
 
 class TestYoneda:
