@@ -214,6 +214,15 @@ def _parse_assignment(literal: str, model: Model) -> Assignment:
     return Assignment.from_mapping(binding)
 
 
+#: What ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` runs,
+#: built once instead of once per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _JsonText(str):
+    """A payload value already encoded as JSON text, written as is."""
+
+
 class _Out:
     def __init__(self, machine: bool):
         self.machine = machine
@@ -225,17 +234,41 @@ class _Out:
 
     def rows(self, key: str, names: tuple[str, ...], rows) -> None:
         """A list of sections over ``names``, one per value row: objects
-        under ``key`` in machine output, ``f=v`` lines in text output."""
+        under ``key`` in machine output, ``f=v`` lines in text output.
+
+        In machine output the list is encoded here, to the text that
+        ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for
+        the list of ``{name: value}`` objects.  Each column's distinct values
+        are encoded once, as whole members (``,"name":value``, the first
+        opening the object and the last closing it), and each object is the
+        join of its row's members.  ``names`` is sorted, as a ``Subset``'s
+        names are, so the members are in ``sort_keys`` order."""
         if self.machine:
-            self.payload[key] = [dict(zip(names, row)) for row in rows]
+            columns = []
+            for i, (name, column) in enumerate(zip(names, zip(*rows))):
+                head = ("," if i else "{") + _encode(name) + ":"
+                tail = "}" if i == len(names) - 1 else ""
+                member = {v: head + _encode(v) + tail for v in set(column)}
+                columns.append(map(member.__getitem__, column))
+            # zipping no columns would lose the rows of a zero-feature object
+            objects = map("".join, zip(*columns)) if names else ["{}"] * len(rows)
+            self.payload[key] = _JsonText("[%s]" % ",".join(objects))
         else:
             self.lines.extend("  " + _token(names, row) for row in rows)
 
     def flush(self, command: str, exit_code: int) -> int:
+        """Print the output: the text lines, or one JSON object of the
+        command, the exit code and the payload, keys sorted, with separators
+        ``(",", ":")``.  Each value is encoded as ``json.dumps`` with
+        ``sort_keys`` encodes it, unless :meth:`rows` already did, so the
+        line is byte-identical to ``json.dumps`` of the whole body."""
         if self.machine:
             body = {"command": command, "exit": exit_code}
             body.update(self.payload)
-            print(json.dumps(body, sort_keys=True, separators=(",", ":")))
+            print("{%s}" % ",".join([
+                _encode(k) + ":" + (v if isinstance(v, _JsonText) else _encode(v))
+                for k, v in sorted(body.items())
+            ]))
         else:
             for line in self.lines:
                 print(line)

@@ -48,15 +48,17 @@ class Fiber(Frozen):
     """The finite, ordered value range of one feature.
 
     Declaration order is canonical and preserved bit-exactly; it drives
-    enumeration order and serialization.
+    enumeration order and serialization.  ``values`` may be any iterable; it
+    is kept as a tuple.
     """
 
     _fields = ("feature", "values")
     feature: str
     values: tuple[str, ...]
 
-    def __init__(self, feature: str, values: tuple[str, ...]):
+    def __init__(self, feature: str, values: Iterable[str]):
         check_feature_name(feature)
+        values = tuple(values)
         if not values:
             raise MalformedInputError(f"fiber of {feature!r} is empty")
         if len(set(values)) != len(values):

@@ -12,7 +12,7 @@ import pytest
 
 import presh
 from presh import model as model_mod
-from presh.cli import build_parser, main
+from presh.cli import _Out, build_parser, main
 from presh.dsl import (
     CheckDirective,
     IdentificationDecl,
@@ -385,7 +385,14 @@ def test_extend_answers_like_the_oracle_on_random_models(capsys, tmp_path):
                             assert out.splitlines() == lines, (seed, a, target)
                         else:
                             assert json.loads(out) == payload, (seed, a, target)
+                            assert out == _canonical(out), (seed, a, target)
     assert min(outcomes.values()) > 100, outcomes
+
+
+def _canonical(out: str) -> str:
+    """The JSON in ``out`` as ``json.dumps`` writes it with sorted keys and
+    separators ``(",", ":")``, byte for byte what machine output prints."""
+    return json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _estimate(model) -> int:
@@ -554,6 +561,7 @@ def test_commands_answer_like_the_references_on_random_workspaces(capsys, tmp_pa
                     assert out.splitlines() == lines, where
                 else:
                     assert json.loads(out) == payload, where
+                    assert out == _canonical(out), where
     assert min(outcomes.values()) > 50, outcomes
 
 
@@ -725,6 +733,7 @@ def test_check_answers_like_the_references_on_random_workspaces(capsys, tmp_path
             else:
                 payload = {"command": "check", "exit": code, "suites": results}
                 assert json.loads(out) == payload, where
+                assert out == _canonical(out), where
     assert min(outcomes.values()) > 1 and outcomes["check"] > 80, outcomes
 
 
@@ -864,6 +873,43 @@ class TestMachineOutput:
         payload = json.loads(out)
         assert payload["suites"]["closure"]["passed"] is True
         assert payload["suites"]["adjunction"]["passed"] is True
+
+    # names and values JSON must escape, and ``%``s that text formatting
+    # would read; each name sorted, as a Subset's names are
+    NAMES = tuple(sorted(['a"q', "b\\s", "%s", "100%", "é", "z\t"]))
+    VALUES = ('x"', "\\", "%d", "50%", "ü", "😀", "\n", "v0")
+
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            [("sections", NAMES, 40)],
+            [("sections", NAMES[:1], 40), ("emergent", NAMES[2:], 40)],
+            [("sections", NAMES, 0)],
+            [("sections", (), 40)],  # a zero-feature object: {} per row
+            [("sections", (), 0)],
+            [],  # --count: the list stays null
+        ],
+        ids=["rows", "two-lists", "no-rows", "empty-object", "empty-no-rows", "count"],
+    )
+    def test_section_lists_are_byte_identical_to_json_dumps(self, capsys, lists):
+        # _Out against one json.dumps of the body, its lists as dicts
+        rng = random.Random(23)
+        out = _Out(machine=True)
+        body = {"command": "sections", "exit": 0}
+        for o in (out.payload, body):
+            o.update({
+                "sections": None,
+                "count": 7,
+                "object": list(self.NAMES),
+                "Zeta": {"b": [{"z": "1", "a": '"'}], "a": "é%"},
+            })
+        for key, names, count in lists:
+            rows = [tuple(rng.choice(self.VALUES) for _ in names) for _ in range(count)]
+            out.rows(key, names, rows)
+            body[key] = [dict(zip(names, row)) for row in rows]
+        assert out.flush("sections", 0) == 0
+        expected = json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestCheck:

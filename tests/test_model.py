@@ -290,10 +290,16 @@ class TestModelBoundary:
                         rows_in = map(list, rows_in)
                     scope = Subset(_reshaped(rng, names))
                     tables.append(ConstraintTable(scope, polarity, rows_in))
+                # fiber values as a list or a generator
+                fibers_in = [
+                    Fiber(f.feature, (v for v in f.values) if rng.random() < 0.5
+                          else list(f.values))
+                    for f in fibers
+                ]
                 if rng.random() < 0.3:
-                    fibers_in = {f.feature: f for f in fibers}
+                    fibers_in = {f.feature: f for f in fibers_in}
                 else:
-                    fibers_in = _reshaped(rng, fibers, ordered=True)
+                    fibers_in = _reshaped(rng, fibers_in, ordered=True)
                 return Model(base.name, fibers_in, _reshaped(rng, tables))
 
             expected = _outcome(as_lists)
@@ -305,6 +311,19 @@ class TestModelBoundary:
                 built += 1
         assert built > 100
         assert erred == set(self.FAULTS) - {None}
+
+    def test_fiber_values_are_kept_as_a_tuple(self):
+        fiber = Fiber("a", ("x", "y"))
+        for values in (["x", "y"], (v for v in ("x", "y")), iter("xy")):
+            given = Fiber("a", values)
+            assert (given, given.values, hash(given)) == (fiber, ("x", "y"), hash(fiber))
+        assert Model("m", [Fiber("a", ["x", "y"])]) == Model("m", [fiber])
+        for values, message in (
+            ((v for v in ()), "fiber of 'a' is empty"),
+            ((v for v in "xx"), "fiber of 'a' repeats a value"),
+        ):
+            with pytest.raises(MalformedInputError, match=message):
+                Fiber("a", values)
 
 
 def _outcome(build) -> tuple | str:
