@@ -45,12 +45,13 @@ from .presheaf import (
     AssignmentPresheaf,
     _require_local_section,
     _token,
+    _yoneda_report,
     blocking_sets,
     extensions,
     random_abstract_presheaf,
     representable,
     validate_laws,
-    yoneda_check,
+    yoneda_check,  # noqa: F401  e2ebench/spans.py hooks presh.cli.yoneda_check
 )
 from .report import LawReport, Record
 from . import render as render_mod
@@ -308,13 +309,15 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
         elif suite == "yoneda":
             for n in range(4):
                 family = close_family(Subset([f"g{i}" for i in range(n)]))
-                sheaves = [representable(family, family.universe)] + [
+                # one representable per object, shared by the seven sheaves
+                reps = {d: representable(family, d) for d in family.objects_sorted}
+                sheaves = [reps[family.universe]] + [
                     random_abstract_presheaf(args.seed * 97 + n * 10 + i, family)
                     for i in range(6)
                 ]
                 for f in sheaves:
                     for d in family.objects_sorted:
-                        report = yoneda_check(f, d)
+                        report = _yoneda_report(reps[d], f, d)
                         violations.extend(f"|S|={n} at {d}: {v}" for v in report.violations)
         elif suite == "analogy":
             for decl in ex.workspace.identifications.values():

@@ -378,17 +378,24 @@ def emergent_sections(
 
     A merged global section is emergent when its restriction to at least one
     source's feature set is not among that source's compiled sections there.
-    Merging a model with itself therefore yields nothing.
+    Merging a model with itself therefore yields nothing.  Each source
+    projects the merged rows with one ``map`` and tests the projections
+    against its section set with another, so no generator frame runs per
+    merged row; the emergent rows keep the merged presheaf's order.
     """
     top = p_merged.family.universe
-    source_tops = [
-        (row_projection(top, p.family.universe), frozenset(p.rows[p.family.universe]))
+    merged = p_merged.rows[top]
+    left_hits, right_hits = [
+        map(
+            frozenset(p.rows[p.family.universe]).__contains__,
+            map(row_projection(top, p.family.universe), merged),
+        )
         for p in (p_left, p_right)
     ]
     emergent = [
         row
-        for row in p_merged.rows[top]
-        if any(project(row) not in rows for project, rows in source_tops)
+        for row, in_l, in_r in zip(merged, left_hits, right_hits)
+        if not (in_l and in_r)
     ]
     return decode(top, emergent)
 

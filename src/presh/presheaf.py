@@ -610,7 +610,12 @@ def yoneda_check(f: AbstractPresheaf, d: Subset) -> LawReport:
     report fails if that evaluation map is not one-to-one and onto.
     """
     f.family.require(d)
-    nats = nat_transformations(representable(f.family, d), f)
+    return _yoneda_report(representable(f.family, d), f, d)
+
+
+def _yoneda_report(rep: AbstractPresheaf, f: AbstractPresheaf, d: Subset) -> LawReport:
+    """``yoneda_check(f, d)`` given ``rep``, the representable at ``d``."""
+    nats = nat_transformations(rep, f)
     image = [nat.at(d)[HOM_TOKEN] for nat in nats]
     violations: list[Violation] = []
     seen: dict[str, int] = {}

@@ -1026,6 +1026,22 @@ class TestCheck:
         assert len({tuple(map(repr, draws)) for draws in per_seed}) == 3
 
 
+    def test_yoneda_suite_builds_one_representable_per_object(
+        self, capsys, monkeypatch, hub_path
+    ):
+        calls = []
+
+        def counting(family, c):
+            calls.append((family.universe, c))
+            return presh.representable(family, c)
+
+        monkeypatch.setattr(presh.cli, "representable", counting)
+        code, out, _ = run(capsys, "--workspace", hub_path, "check", "--laws=yoneda")
+        assert (code, out) == (0, "yoneda: ok\n")
+        # families over 0-3 features: 1 + 2 + 4 + 8 objects
+        assert len(calls) == 15
+        assert len(set(calls)) == 15
+
 def test_each_command_compiles_each_model_once(capsys, monkeypatch, hub_path):
     keys = []
     init = model_mod._CompiledModel.__init__

@@ -471,6 +471,58 @@ class TestEmergent:
                 assert escaped, (source.name, s)
 
 
+class TestEmergentBranches:
+    """Hand-built merges, one per way a merged global section can meet its
+    sources, each equal to the reference with order included."""
+
+    @staticmethod
+    def _emergent(left, right):
+        compiled = _compiled_merge(left, right)
+        got = emergent_sections(*compiled)
+        assert got == reference_emergent_sections(*compiled)
+        return got, len(global_sections(compiled[0]))
+
+    # s is shared: the left knows only s=x, the right also s=y
+    LEFT = Model("L", [Fiber("a", ("p",)), Fiber("s", ("x",))])
+    RIGHT = Model("R", [Fiber("s", ("x", "y")), Fiber("b", ("q",))])
+
+    def test_row_missing_only_from_the_left(self):
+        got, total = self._emergent(self.LEFT, self.RIGHT)
+        assert (got, total) == ((A(a="p", b="q", s="y"),), 2)
+
+    def test_row_missing_only_from_the_right(self):
+        got, total = self._emergent(self.RIGHT, self.LEFT)
+        assert (got, total) == ((A(a="p", b="q", s="y"),), 2)
+
+    def test_rows_missing_from_either_or_both_keep_merged_order(self):
+        left = Model("L", [Fiber("s", ("x",)), Fiber("t", ("u", "v"))])
+        right = Model("R", [Fiber("s", ("x", "y")), Fiber("t", ("u",))])
+        got, total = self._emergent(left, right)
+        # (x, v) misses the right only, (y, u) the left only, (y, v) both
+        assert total == 4
+        assert got == (A(s="x", t="v"), A(s="y", t="u"), A(s="y", t="v"))
+
+    def test_no_row_missing_out_of_many(self):
+        left = Model(
+            "L",
+            [Fiber("a", ("a1", "a2", "a3")), Fiber("s", ("x", "y"))],
+            [ConstraintTable(S("a", "s"), "forbid", [("a1", "x")])],
+        )
+        right = Model("R", [Fiber("s", ("x", "y")), Fiber("b", ("b1", "b2", "b3", "b4"))])
+        assert self._emergent(left, right) == ((), 20)
+
+    def test_zero_feature_source(self):
+        empty = Model("E", [])
+        assert self._emergent(empty, self.RIGHT) == ((), 2)
+        assert self._emergent(self.LEFT, empty) == ((), 1)
+        assert self._emergent(empty, empty) == ((), 1)
+
+    def test_merge_with_no_global_sections(self):
+        blocked = Model("L", [Fiber("a", ("p",))], [ConstraintTable(S("a"), "allow", [])])
+        assert self._emergent(blocked, self.RIGHT) == ((), 0)
+        assert self._emergent(self.RIGHT, blocked) == ((), 0)
+
+
 class TestTransfer:
     def test_identity_identification_preserves_sections(self, camcorder_model):
         h = FeatureIdentification(

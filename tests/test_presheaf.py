@@ -10,6 +10,7 @@ from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset, close_family
 from presh.model import ConstraintTable, Model, compile_model, random_model
 from presh.presheaf import (
+    _yoneda_report,
     AbstractPresheaf,
     Assignment,
     AssignmentPresheaf,
@@ -743,6 +744,37 @@ class TestYoneda:
                 for d in fam.objects_sorted:
                     report = yoneda_check(f, d)
                     assert report.passed, (n, seed, d, report.violations)
+
+    def test_report_on_a_prebuilt_representable_matches_yoneda_check(self):
+        # the sheaves of ``check --laws=yoneda``'s sweep, for three seeds
+        for seed in (0, 7, 1234):
+            for n in range(4):
+                fam = close_family(Subset(f"g{i}" for i in range(n)))
+                sheaves = [representable(fam, fam.universe)] + [
+                    random_abstract_presheaf(seed * 97 + n * 10 + i, fam)
+                    for i in range(6)
+                ]
+                for f in sheaves:
+                    for d in fam.objects_sorted:
+                        got = _yoneda_report(representable(fam, d), f, d)
+                        assert got == yoneda_check(f, d), (seed, n, d)
+
+    def test_report_on_a_prebuilt_representable_pins_violations(self):
+        fam = close_family(S("a", "b"))
+        # {} ⊆ {b} swaps p and q, so no element at {a,b} restricts consistently
+        restrictions = {pair: {"p": "p", "q": "q"} for pair in fam.inclusions()}
+        restrictions[(S(), S("b"))] = {"p": "q", "q": "p"}
+        g = AbstractPresheaf(fam, {u: ("p", "q") for u in fam.objects_sorted}, restrictions)
+        for d in fam.objects_sorted:
+            got = _yoneda_report(representable(fam, d), g, d)
+            assert got == yoneda_check(g, d), d
+        top = S("a", "b")
+        report = _yoneda_report(representable(fam, top), g, top)
+        assert [str(v) for v in report.violations] == [
+            "yoneda-surjective: no transformation evaluates to 'p' at {a,b}",
+            "yoneda-surjective: no transformation evaluates to 'q' at {a,b}",
+        ]
+        assert [v.witness for v in yoneda_check(g, top).violations] == [(top, "p"), (top, "q")]
 
     def test_cardinality_matches_elements(self):
         fam = close_family(S("a", "b"))
