@@ -90,7 +90,7 @@ class Subset(Frozen):
         return name in self.names
 
     def issubset(self, other: "Subset") -> bool:
-        return set(self.names) <= set(other.names)
+        return frozenset(other.names).issuperset(self.names)
 
     def union(self, other: "Subset") -> "Subset":
         return Subset._trusted(tuple(sorted(set(self.names + other.names))))

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import combinations, product
-from operator import itemgetter
+from itertools import combinations, compress, product, repeat
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import EnumerationBoundError, MalformedInputError
@@ -103,6 +103,18 @@ class Assignment(Frozen):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(
+        cls, domain: Subset, rows: tuple[tuple[str, ...], ...]
+    ) -> tuple["Assignment", ...]:
+        """One assignment at ``domain`` per row of ``rows``, each already of
+        ``domain``'s arity; skips ``__init__``'s check.  The instances are
+        made, and their two slots filled, in three C-level ``map`` passes."""
+        made = tuple(map(object.__new__, repeat(cls, len(rows))))
+        any(map(_set_domain, made, repeat(domain)))
+        any(map(_set_values, made, rows))
+        return made
+
     def __eq__(self, other: object):
         if other.__class__ is Assignment:
             return (self.domain, self.values) == (other.domain, other.values)
@@ -132,6 +144,11 @@ class Assignment(Frozen):
         return self.token()
 
 
+# The slot setters ``Assignment._trusted`` maps over its new instances.
+_set_domain = Assignment.domain.__set__
+_set_values = Assignment.values.__set__
+
+
 def _token(names: tuple[str, ...], row: tuple[str, ...]) -> str:
     if not names:
         return "()"
@@ -139,8 +156,19 @@ def _token(names: tuple[str, ...], row: tuple[str, ...]) -> str:
 
 
 def decode(u: Subset, rows: Iterable[tuple[str, ...]]) -> tuple[Assignment, ...]:
-    """The assignments at ``u`` that ``rows`` (value tuples over ``u``) stand for."""
-    return tuple(Assignment(u, row) for row in rows)
+    """The assignments at ``u`` that ``rows`` (value tuples over ``u``) stand
+    for, in the order of ``rows``.
+
+    One C-level pass checks every row's arity; the first row of another
+    arity raises the ``MalformedInputError`` that ``Assignment(u, row)``
+    raises.  The assignments are then made in bulk by
+    ``Assignment._trusted``, with no ``__init__`` call per row.
+    """
+    rows = tuple(rows)
+    if not all(map(eq, map(len, rows), repeat(len(u.names)))):
+        for row in rows:
+            Assignment(u, row)  # raises at the first row of another arity
+    return Assignment._trusted(u, rows)
 
 
 def row_projection(v: Subset, u: Subset) -> Callable[[tuple], tuple]:
@@ -464,17 +492,57 @@ def _require_local_section(p: AssignmentPresheaf, a: Assignment) -> None:
         raise MalformedInputError(f"{a} is not a local section at {a.domain}")
 
 
+def _short_row(v: Subset) -> MalformedInputError:
+    return MalformedInputError(f"a row at {v} has fewer than {len(v.names)} values")
+
+
 def _extending_rows(
     p: AssignmentPresheaf, a: Assignment, v: Subset
-) -> list[tuple[str, ...]]:
-    project = row_projection(v, a.domain)
-    return [row for row in p.rows[v] if project(row) == a.values]
+) -> tuple[tuple[str, ...], ...]:
+    """The rows at ``v`` (``a``'s domain ⊆ ``v``) that restrict to ``a``, in
+    stored order.
+
+    Each pinned feature narrows the rows with one C-level pass over its
+    position, the last feature first.  That first pass reads every row at
+    the largest pinned position, so a row too short for any pinned feature
+    raises there, naming ``v``.  The empty section gets the stored rows
+    back unscanned.
+    """
+    rows = p.rows[v]
+    at = v.names.index
+    try:
+        for f, x in zip(reversed(a.domain.names), reversed(a.values)):
+            rows = tuple(compress(rows, map(eq, map(itemgetter(at(f)), rows), repeat(x))))
+    except IndexError:
+        raise _short_row(v) from None
+    return rows
+
+
+def _extends(p: AssignmentPresheaf, a: Assignment, w: Subset) -> bool:
+    """Whether some row at ``w`` restricts to ``a``: one C-level scan of the
+    pinned values that stops at the first such row."""
+    rows = p.rows[w]
+    positions = tuple(map(w.names.index, a.domain.names))
+    if not positions:
+        return bool(rows)
+    pinned = a.values if len(positions) > 1 else a.values[0]
+    try:
+        return pinned in map(itemgetter(*positions), rows)
+    except IndexError:
+        raise _short_row(w) from None
 
 
 def extensions(
     p: AssignmentPresheaf, a: Assignment, v: Subset
 ) -> tuple[Assignment, ...]:
-    """All sections at ``v`` restricting to ``a``; empty means ``a`` does not extend."""
+    """All sections at ``v`` restricting to ``a``, in the order ``p`` stores
+    them; empty means ``a`` does not extend.
+
+    One C-level pass per pinned feature picks the rows (none for the empty
+    section), and only those are decoded.  A row at ``v`` too short for a
+    pinned feature, or of another arity than ``v`` among those picked,
+    raises ``MalformedInputError``.
+    """
     _require_local_section(p, a)
     p.family.require(v)
     if not a.domain.issubset(v):
@@ -489,16 +557,21 @@ def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
     Empty result means the section extends to every superset object; each
     returned object names a scope whose constraints rule the section out.
     The supersets are walked once, by size (``CoverFamily.supersets``), and
-    one that contains a scope already found blocking is skipped without
-    reading its rows.  Every object below a superset comes before it, so
-    what is left blocked is minimal, whether or not ``p`` is closed.
+    one whose names contain a scope already found blocking is skipped
+    without reading its rows.  Every object below a superset comes before
+    it, so what is left blocked is minimal, whether or not ``p`` is closed.
+    An object is known to extend ``a`` at its first extending row; a row
+    read before it that is too short for a pinned feature raises
+    ``MalformedInputError``.
     """
     _require_local_section(p, a)
-    blocked: list[Subset] = []
+    blocked: list[tuple[str, ...]] = []
     for w in p.family.supersets(a.domain):
-        if not any(b.issubset(w) for b in blocked) and not _extending_rows(p, a, w):
-            blocked.append(w)
-    return tuple(blocked)
+        if blocked and any(map(frozenset(w.names).issuperset, blocked)):
+            continue
+        if not _extends(p, a, w):
+            blocked.append(w.names)
+    return tuple(map(Subset._trusted, blocked))
 
 
 # ---------------------------------------------------------------------------

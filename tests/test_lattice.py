@@ -339,6 +339,12 @@ class TestIsSubobject:
     def test_examples(self):
         assert is_subobject(S("a"), S("a", "b"))
         assert not is_subobject(S("a", "b"), S("a"))
+        # equal, empty on either side, disjoint, and overlapping but not contained
+        assert is_subobject(S("a", "b"), S("a", "b"))
+        assert is_subobject(S(), S()) and is_subobject(S(), S("a"))
+        assert not is_subobject(S("a"), S())
+        assert not is_subobject(S("a", "b"), S("c", "d"))
+        assert not is_subobject(S("a", "c"), S("a", "b"))
 
     @given(st.sets(st.sampled_from("abcde")), st.sets(st.sampled_from("abcde")))
     @settings(max_examples=60)

@@ -18,6 +18,7 @@ from presh.presheaf import (
     HOM_TOKEN,
     blocking_sets,
     closure_complete,
+    decode,
     extensions,
     global_sections,
     nat_transformations,
@@ -472,6 +473,24 @@ class TestClosureComplete:
             assert set(ragged.sections_at(u)) <= set(once.sections_at(u))
 
 
+class TestDecode:
+    def test_rows_become_equal_assignments_in_order(self):
+        u = S("a", "b")
+        rows = [("y", "x"), ("x", "y")]
+        got = decode(u, iter(rows))
+        assert got == tuple(Assignment(u, row) for row in rows)
+        assert [hash(b) for b in got] == [hash(Assignment(u, row)) for row in rows]
+        assert decode(S(), [()]) == (Assignment(S(), ()),) and decode(u, []) == ()
+        with pytest.raises(AttributeError):
+            got[0].values = ("x", "x")
+
+    def test_ragged_rows_raise_at_the_first_of_another_arity(self):
+        with pytest.raises(MalformedInputError, match="^assignment has 1 values for 2 features$"):
+            decode(S("a", "b"), [("x", "y"), ("x",), ("x", "y", "z")])
+        with pytest.raises(MalformedInputError, match="^assignment has 3 values for 2 features$"):
+            decode(S("a", "b"), [("x", "y"), ("x", "y", "z"), ("x",)])
+
+
 class TestSections:
     def test_global_sections_of_product_model(self):
         from presh.model import Model
@@ -507,22 +526,71 @@ class TestSections:
                         assert b in extensions(p, a, v)
 
     def test_extensions_match_filter_oracle(self):
+        def filtered(q, a, v):
+            # a plain filter over the stored rows, in their stored order
+            at = [v.names.index(f) for f in a.domain.names]
+            return tuple(
+                Assignment(v, row)
+                for row in q.rows[v]
+                if tuple(row[i] for i in at) == a.values
+            )
+
         rng = random.Random(5)
+        sizes, reordered = set(), 0
         for seed in range(20):
             p = compile_model(random_model(seed, max_features=4))
+            # the same rows, out of canonical order at every object
+            shuffled = AssignmentPresheaf(
+                p.family,
+                p.fibers,
+                {u: tuple(rng.sample(rows, len(rows))) for u, rows in p.rows.items()},
+            )
             objs = p.family.objects_sorted
-            v = rng.choice(objs)
-            if not p.sections_at(v):
-                continue
-            for u in objs:
-                if not u.issubset(v) or not p.sections_at(u):
-                    continue
-                a = rng.choice(p.sections_at(u))
-                got = set(extensions(p, a, v))
-                want = {
-                    b for b in p.sections_at(v) if restrict_assignment(b, u) == a
-                }
-                assert got == want
+            for v in objs:
+                for u in objs:
+                    if not u.issubset(v):
+                        continue
+                    # the empty section included, when the bottom has one
+                    for a in p.sections_at(u)[:2]:
+                        got = extensions(p, a, v)
+                        assert got == filtered(p, a, v)
+                        out_of_order = extensions(shuffled, a, v)
+                        assert out_of_order == filtered(shuffled, a, v)
+                        reordered += out_of_order != got
+                        sizes.add(len(u))
+        assert {0, 1, 2, 3} <= sizes
+        assert reordered
+
+    def test_short_row_is_malformed_input_naming_the_object(self):
+        fibers = {f: Fiber(f, ("x", "y")) for f in "ab"}
+        rows = {S(): ((),), S("a"): (("x",),), S("b"): (("x",),)}
+        short = AssignmentPresheaf(
+            close_family(S("a", "b")), fibers, {**rows, S("a", "b"): (("x",),)}
+        )
+        message = r"^a row at \{a,b\} has fewer than 2 values$"
+        with pytest.raises(MalformedInputError, match=message):
+            extensions(short, A(b="x"), S("a", "b"))
+        with pytest.raises(MalformedInputError, match=message):
+            blocking_sets(short, A(b="x"))
+        # two pinned features, the short row failing the first one's value
+        abc = S("a", "b", "c")
+        ragged = AssignmentPresheaf(
+            close_family(abc),
+            {f: Fiber(f, ("x", "y")) for f in "abc"},
+            {S("a", "c"): (("x", "x"),), abc: (("x", "x", "x"), ("y", "x"))},
+        )
+        with pytest.raises(MalformedInputError, match=r"^a row at \{a,b,c\} has fewer"):
+            extensions(ragged, A(a="x", c="x"), abc)
+        # long enough for the pinned feature: the picked row fails decoding
+        with pytest.raises(MalformedInputError, match="^assignment has 1 values for 2 features$"):
+            extensions(short, A(a="x"), S("a", "b"))
+        # a row too long is read as before: decoding refuses it, blocking does not
+        long = AssignmentPresheaf(
+            close_family(S("a", "b")), fibers, {**rows, S("a", "b"): (("x", "x", "x"),)}
+        )
+        with pytest.raises(MalformedInputError, match="^assignment has 3 values for 2 features$"):
+            extensions(long, A(b="x"), S("a", "b"))
+        assert blocking_sets(long, A(b="x")) == ()
 
     def test_invalid_local_section_rejected(self, camcorder_presheaf):
         bogus = A(film="prof_and_amateur", edit="quick_and_easy_editing", screen="small")
