@@ -518,20 +518,6 @@ def _extending_rows(
     return rows
 
 
-def _extends(p: AssignmentPresheaf, a: Assignment, w: Subset) -> bool:
-    """Whether some row at ``w`` restricts to ``a``: one C-level scan of the
-    pinned values that stops at the first such row."""
-    rows = p.rows[w]
-    positions = tuple(map(w.names.index, a.domain.names))
-    if not positions:
-        return bool(rows)
-    pinned = a.values if len(positions) > 1 else a.values[0]
-    try:
-        return pinned in map(itemgetter(*positions), rows)
-    except IndexError:
-        raise _short_row(w) from None
-
-
 def extensions(
     p: AssignmentPresheaf, a: Assignment, v: Subset
 ) -> tuple[Assignment, ...]:
@@ -557,21 +543,18 @@ def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
     Empty result means the section extends to every superset object; each
     returned object names a scope whose constraints rule the section out.
     The supersets are walked once, by size (``CoverFamily.supersets``), and
-    one whose names contain a scope already found blocking is skipped
-    without reading its rows.  Every object below a superset comes before
-    it, so what is left blocked is minimal, whether or not ``p`` is closed.
-    An object is known to extend ``a`` at its first extending row; a row
-    read before it that is too short for a pinned feature raises
-    ``MalformedInputError``.
+    one that contains a scope already found blocking is skipped without
+    reading its rows.  Every object below a superset comes before it, so
+    what is left blocked is minimal, whether or not ``p`` is closed.  Each
+    object read is narrowed as in ``extensions``, so a row too short for a
+    pinned feature raises ``MalformedInputError`` here as it does there.
     """
     _require_local_section(p, a)
-    blocked: list[tuple[str, ...]] = []
+    blocked: list[Subset] = []
     for w in p.family.supersets(a.domain):
-        if blocked and any(map(frozenset(w.names).issuperset, blocked)):
-            continue
-        if not _extends(p, a, w):
-            blocked.append(w.names)
-    return tuple(map(Subset._trusted, blocked))
+        if not any(b.issubset(w) for b in blocked) and not _extending_rows(p, a, w):
+            blocked.append(w)
+    return tuple(blocked)
 
 
 # ---------------------------------------------------------------------------

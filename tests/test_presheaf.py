@@ -572,6 +572,14 @@ class TestSections:
             extensions(short, A(b="x"), S("a", "b"))
         with pytest.raises(MalformedInputError, match=message):
             blocking_sets(short, A(b="x"))
+        # the short row after an extending one: both queries still read it
+        late = AssignmentPresheaf(
+            close_family(S("a", "b")), fibers, {**rows, S("a", "b"): (("x", "x"), ("y",))}
+        )
+        with pytest.raises(MalformedInputError, match=message):
+            extensions(late, A(b="x"), S("a", "b"))
+        with pytest.raises(MalformedInputError, match=message):
+            blocking_sets(late, A(b="x"))
         # two pinned features, the short row failing the first one's value
         abc = S("a", "b", "c")
         ragged = AssignmentPresheaf(
