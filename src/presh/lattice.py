@@ -38,8 +38,6 @@ LATTICE_SIZE_BOUND = 12
 #: Largest outer set for which the adjunction sweep runs exhaustively.
 ADJUNCTION_SWEEP_BOUND = 5
 
-FeatureId = str
-
 
 def check_feature_name(name: str) -> str:
     if not isinstance(name, str) or not NAME_RE.match(name):

@@ -1,8 +1,11 @@
+import difflib
+import functools
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -793,30 +796,13 @@ class TestMergeTransferDiff:
 
 
 class TestRender:
-    def test_wine_canvas_matches_golden(self, capsys, data_dir):
-        code, out, _ = run(
-            capsys, "--workspace", str(data_dir / "wine.psh"), "render", "Wine",
-            "canvas",
-        )
-        assert code == 0
-        assert out == (GOLDEN / "wine_canvas.txt").read_text()
-        assert out.count("*1") == 8  # seven columns plus the legend line
-        assert out.count("*2") == 8
-
     def test_hub_workspace_dot_matches_golden(self, capsys, hub_path):
-        code, out, _ = run(
+        # without --format, the record the hub-render-workspace case pins for text
+        code, out, err = run(
             capsys, "--workspace", hub_path, "render", "workspace", "dot"
         )
-        assert code == 0
-        assert out == (GOLDEN / "hub_workspace.dot").read_text()
-
-    def test_org_cover_dot_matches_golden(self, capsys, data_dir):
-        code, out, _ = run(
-            capsys, "--workspace", str(data_dir / "organization.psh"), "render",
-            "Organization", "dot",
-        )
-        assert code == 0
-        assert out == (GOLDEN / "organization_cover.dot").read_text()
+        golden = GOLDEN_CLI / _golden_name("hub-render-workspace", "text")
+        assert _record(code, out, err) == golden.read_text(encoding="utf-8")
 
     def test_single_feature_chain(self, capsys, tmp_path):
         one = tmp_path / "one.psh"
@@ -1267,15 +1253,28 @@ def test_one_process_answers_like_fresh_processes(capsys, hub_path):
 
 
 # Byte-identical CLI output: every command line below, in text and in
-# machine format, against stdout, stderr and the exit code stored under
-# tests/golden/cli/.  Rewrite the files with
-# ``PYTHONPATH=src python tests/test_cli.py``
-# only when an output change is intended.
+# machine format, against the exit code, stdout and stderr stored under
+# tests/golden/cli/.  Tier-1 runs each case in-process.  The __main__ block
+# at the end of this file rewrites the goldens, only when an output change
+# is intended:
+#     PYTHONPATH=src python tests/test_cli.py
+# or, given a command, runs each case through it as a subprocess and names
+# every record that differs, every golden missing and every golden without
+# a case (CI does this with the installed console script):
+#     python tests/test_cli.py presh
+#     PYTHONPATH=src python tests/test_cli.py python -m presh.cli
 GOLDEN_CLI = GOLDEN / "cli"
+FORMATS = ("text", "machine")
+DATA = Path(__file__).resolve().parents[1] / "src/presh/data"
 WORKSPACES = {
-    "hub": Path(__file__).resolve().parents[1] / "src/presh/data/digital_hub.pshw",
+    "hub": DATA / "digital_hub.pshw",
+    "wine": DATA / "wine.psh",
+    "organization": DATA / "organization.psh",
     "broken": FIXTURES / "broken_analogy.pshw",
     "blocking": FIXTURES / "blocking.psh",
+    # the hub with every allow/forbid line ending in a comma, which only the
+    # token path of the table parser reads
+    "comma": FIXTURES / "comma_tables/digital_hub.pshw",
 }
 CLI_CASES = {
     "hub-check": ("hub", "check"),
@@ -1311,6 +1310,9 @@ CLI_CASES = {
     "hub-render-canvas": ("hub", "render", "DigitalHub", "canvas"),
     "hub-render-workspace": ("hub", "render", "workspace", "dot"),
     "hub-refused-sections": ("hub", "--max-enum", "2", "sections", "PC"),
+    "wine-render-canvas": ("wine", "render", "Wine", "canvas"),
+    "organization-render-dot": ("organization", "render", "Organization", "dot"),
+    "comma-sections": ("comma", "sections", "DigitalHub"),
     "broken-check": ("broken", "check"),
     "broken-check-closure": ("broken", "check", "--laws=closure"),
     "broken-check-analogy": ("broken", "check", "--laws=analogy"),
@@ -1339,19 +1341,110 @@ CLI_CASES = {
 }
 
 
-def _cli_record(workspace: str, fmt: str, *command: str) -> str:
+def _golden_name(case: str, fmt: str) -> str:
+    return f"{case}.{fmt}.txt"
+
+
+def _argv(case: str, fmt: str) -> list[str]:
+    workspace, *command = CLI_CASES[case]
+    return ["--workspace", str(WORKSPACES[workspace]), "--format", fmt, *command]
+
+
+def _record(code: int, out: str, err: str) -> str:
+    return f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+def _cli_record(case: str, fmt: str) -> str:
+    """The golden record of ``case`` in ``fmt``, from ``main`` in-process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        argv = ["--workspace", str(WORKSPACES[workspace]), "--format", fmt, *command]
-        code = main(argv)
-    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        code = main(_argv(case, fmt))
+    return _record(code, out.getvalue(), err.getvalue())
 
 
-@pytest.mark.parametrize("fmt", ["text", "machine"])
+def _script_record(command: list[str], case: str, fmt: str) -> str:
+    """The golden record of ``case`` in ``fmt``, from ``command`` (such as
+    ``["presh"]``) run as a subprocess."""
+    proc = subprocess.run([*command, *_argv(case, fmt)], capture_output=True, check=False)
+    return _record(
+        proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+    )
+
+
+def golden_mismatches(record, cases=CLI_CASES, golden_dir=GOLDEN_CLI) -> list[str]:
+    """One message per golden file name under ``golden_dir`` that is wrong:
+    a case and format whose ``record(case, fmt)`` differs from its golden
+    (with a unified diff), a case and format with no golden, and a golden
+    of no case in ``cases``; sorted by file name."""
+    expected = {_golden_name(case, fmt): (case, fmt) for case in cases for fmt in FORMATS}
+    present = {path.name for path in golden_dir.iterdir()}
+    problems = []
+    for name in sorted(expected.keys() | present):
+        if name not in expected:
+            problems.append(f"{name}: golden without a case")
+        elif name not in present:
+            problems.append(f"{name}: no golden")
+        else:
+            golden = (golden_dir / name).read_text(encoding="utf-8")
+            got = record(*expected[name])
+            if got != golden:
+                diff = difflib.unified_diff(
+                    golden.splitlines(keepends=True), got.splitlines(keepends=True),
+                    "golden", "run",
+                )
+                problems.append(f"{name}: differs\n" + "".join(diff).rstrip("\n"))
+    return problems
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_output_matches_golden(case, fmt):
-    golden = (GOLDEN_CLI / f"{case}.{fmt}.txt").read_text(encoding="utf-8")
-    assert _cli_record(CLI_CASES[case][0], fmt, *CLI_CASES[case][1:]) == golden
+    golden = (GOLDEN_CLI / _golden_name(case, fmt)).read_text(encoding="utf-8")
+    assert _cli_record(case, fmt) == golden
+
+
+def test_every_cli_golden_has_a_case():
+    names = {path.name for path in GOLDEN_CLI.iterdir()}
+    assert names == {_golden_name(case, fmt) for case in CLI_CASES for fmt in FORMATS}
+
+
+def test_comma_ended_tables_print_what_the_hub_prints():
+    # the fixture is the bundled hub with a comma after each table line
+    commas = 0
+    for path in (FIXTURES / "comma_tables").iterdir():
+        bundled = (DATA / path.name).read_text(encoding="utf-8")
+        expected, n = re.subn(r"(?m)^((?:allow|forbid) .*)$", r"\1,", bundled)
+        assert path.read_text(encoding="utf-8") == expected, path.name
+        commas += n
+    assert commas > 0
+    for fmt in FORMATS:
+        comma, hub = (
+            (GOLDEN_CLI / _golden_name(case, fmt)).read_text(encoding="utf-8")
+            for case in ("comma-sections", "hub-sections")
+        )
+        assert comma == hub, fmt
+
+
+def test_golden_check_names_each_changed_missing_and_orphan_golden(tmp_path):
+    cases = ("hub-sections", "broken-extend")
+    for case in cases:
+        for fmt in FORMATS:
+            name = _golden_name(case, fmt)
+            (tmp_path / name).write_bytes((GOLDEN_CLI / name).read_bytes())
+    assert golden_mismatches(_cli_record, cases, tmp_path) == []
+    changed = tmp_path / "hub-sections.machine.txt"
+    data = bytearray(changed.read_bytes())
+    data[data.index(b"--- stdout\n") + 11] ^= 1
+    changed.write_bytes(bytes(data))
+    (tmp_path / "broken-extend.text.txt").unlink()
+    (tmp_path / "broken-extend-orphan.text.txt").write_text("exit 0\n")
+    problems = golden_mismatches(_cli_record, cases, tmp_path)
+    assert [problem.splitlines()[0] for problem in problems] == [
+        "broken-extend-orphan.text.txt: golden without a case",
+        "broken-extend.text.txt: no golden",
+        "hub-sections.machine.txt: differs",
+    ]
+    assert "\n-z" in problems[-1] and "\n+{" in problems[-1]
 
 
 # The model text ``--emit`` writes, pinned byte for byte under tests/golden/emit/.
@@ -1478,9 +1571,20 @@ class TestLessTravelledPaths:
             "error: unknown feature 'b' in object spec; nearest family objects: {a}\n"
         )
 
+
 if __name__ == "__main__":
-    GOLDEN_CLI.mkdir(exist_ok=True)
-    for case, (workspace, *command) in CLI_CASES.items():
-        for fmt in ("text", "machine"):
-            record = _cli_record(workspace, fmt, *command)
-            (GOLDEN_CLI / f"{case}.{fmt}.txt").write_text(record, encoding="utf-8")
+    if len(sys.argv) == 1:
+        GOLDEN_CLI.mkdir(exist_ok=True)
+        for case in CLI_CASES:
+            for fmt in FORMATS:
+                path = GOLDEN_CLI / _golden_name(case, fmt)
+                path.write_text(_cli_record(case, fmt), encoding="utf-8")
+    else:
+        problems = golden_mismatches(functools.partial(_script_record, sys.argv[1:]))
+        for problem in problems:
+            print(problem)
+        print(
+            f"{len(CLI_CASES) * len(FORMATS)} records through {' '.join(sys.argv[1:])}:"
+            f" {len(problems)} wrong"
+        )
+        sys.exit(1 if problems else 0)
