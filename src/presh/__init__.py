@@ -18,17 +18,12 @@ from .lattice import (
     check_adjunction_triple,
     close_family,
     extend_functor_f1,
-    is_subobject,
-    join,
-    meet,
-    restrict_family,
     restriction_functor_r,
 )
 from .model import (
     ConstraintTable,
     Model,
     compile_model,
-    family_of,
     oracle_sections,
     random_model,
 )
@@ -41,10 +36,7 @@ from .ops import (
     condition,
     diff_presheaves,
     emergent_sections,
-    extend_fiber,
-    add_feature,
     overlap_union_report,
-    remove_feature,
     transfer,
 )
 from .presheaf import (

@@ -51,7 +51,6 @@ from .presheaf import (
     random_abstract_presheaf,
     representable,
     validate_laws,
-    yoneda_check,  # noqa: F401  e2ebench/spans.py hooks presh.cli.yoneda_check
 )
 from .report import LawReport, Record
 from . import render as render_mod
@@ -549,6 +548,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise MalformedInputError(message)
 
+    def _get_formatter(self):
+        # the width argparse uses without a terminal, so usage text is byte-stable
+        return self.formatter_class(prog=self.prog, width=78)
+
+
+def _max_enum(text: str) -> int:
+    """A ``--max-enum`` value: an integer, at least 0."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return bound
+
 
 @functools.cache
 def build_parser() -> _ArgumentParser:
@@ -561,7 +575,7 @@ def build_parser() -> _ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     parser.add_argument(
         "--max-enum",
-        type=int,
+        type=_max_enum,
         default=10**6,
         help="refusal bound for exhaustive enumerations",
     )

@@ -188,32 +188,6 @@ def close_family(universe: Subset) -> CoverFamily:
     return CoverFamily(universe)
 
 
-def meet(family: CoverFamily, u: Subset, v: Subset) -> Subset:
-    """Greatest lower bound of two objects; the pullback of the inclusion square."""
-    family.require(u)
-    family.require(v)
-    return u.intersection(v)
-
-
-def join(family: CoverFamily, u: Subset, v: Subset) -> Subset:
-    """Least upper bound of two objects; the pushout of the inclusion square."""
-    family.require(u)
-    family.require(v)
-    return u.union(v)
-
-
-def restrict_family(family: CoverFamily, s0: Subset) -> CoverFamily:
-    """The family of all objects contained in ``s0``."""
-    if not s0.issubset(family.universe):
-        raise MalformedInputError(f"{s0} is not a subset of the universe")
-    return CoverFamily(s0)
-
-
-def is_subobject(u: Subset, v: Subset) -> bool:
-    """True iff the poset category has an arrow u -> v."""
-    return u.issubset(v)
-
-
 def extend_functor_f1(u: Subset, s1: Subset, s2: Subset) -> Subset:
     """Pad a subset of the smaller universe with everything the larger one adds.
 

@@ -169,12 +169,6 @@ class Model(Frozen):
         return Model(name, self.fibers, self.tables, self.labels)
 
 
-def family_of(model: Model) -> CoverFamily:
-    """The model's cover family: every subset of its features (``Model``
-    already rejects scopes outside them)."""
-    return close_family(model.features)
-
-
 def require_scope_bound(scope: Subset, fibers: Mapping[str, Fiber], what: str) -> None:
     """Refuse a scope whose value product exceeds ``TABLE_MASK_BOUND``;
     ``what`` names the table being built in the refusal."""
@@ -305,7 +299,7 @@ def compile_model(model: Model) -> AssignmentPresheaf:
     :class:`_ObjectRows`): the sections at one object cost its prefix chain,
     and a reader of every object builds each of them once.
     """
-    family = family_of(model)
+    family = close_family(model.features)
     rows = _ObjectRows(family, _CompiledModel(model))
     return AssignmentPresheaf(family, dict(model.fibers), rows)
 

@@ -1,5 +1,4 @@
-"""Change operators on models: fiber edits, conditioning, amalgamation,
-analogy transfer.
+"""Change operators on models: conditioning, amalgamation, analogy transfer.
 
 Conditioning on an assignment fixes its features and drops them: what is
 left is a model over the other features whose sections are the
@@ -25,7 +24,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import MalformedInputError
-from .lattice import Subset, check_feature_name, restrict_family
+from .lattice import Subset, _shortlex, check_feature_name
 from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
 from .presheaf import (
     Assignment,
@@ -137,75 +136,7 @@ class DiffReport(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# fiber and feature edits
-
-
-def extend_fiber(model: Model, feature: str, new_values: tuple[str, ...]) -> Model:
-    """Enlarge one fiber; tables are untouched, so allow tables do not admit
-    the new values until edited or imported guarded by a merge."""
-    fib = model.fibers.get(feature)
-    if fib is None:
-        raise MalformedInputError(f"unknown feature {feature!r}")
-    for v in new_values:
-        if v in fib:
-            raise MalformedInputError(f"value {v!r} already in the fiber of {feature!r}")
-    fibers = [
-        Fiber(f.feature, f.values + tuple(new_values)) if f.feature == feature else f
-        for f in model.fibers.values()
-    ]
-    return Model(model.name, fibers, model.tables, model.labels)
-
-
-def add_feature(model: Model, fiber: Fiber) -> Model:
-    if fiber.feature in model.fibers:
-        raise MalformedInputError(f"feature {fiber.feature!r} already present")
-    fibers = list(model.fibers.values()) + [fiber]
-    return Model(model.name, fibers, model.tables, model.labels)
-
-
-class RemovalReport(Frozen):
-    _fields = ("projected", "dropped_forbid", "dropped_empty")
-    projected: tuple[ConstraintTable, ...] = ()
-    dropped_forbid: tuple[ConstraintTable, ...] = ()
-    dropped_empty: tuple[ConstraintTable, ...] = ()
-
-
-def remove_feature(model: Model, feature: str) -> tuple[Model, RemovalReport]:
-    """Delete a feature.
-
-    Allow tables naming it are projected onto the remaining scope; forbid
-    tables naming it are dropped outright (projection of a forbid list is not
-    meaning-preserving), and everything dropped or projected is reported.
-    """
-    if feature not in model.fibers:
-        raise MalformedInputError(f"unknown feature {feature!r}")
-    fibers = [f for f in model.fibers.values() if f.feature != feature]
-    gone = Subset([feature])
-    tables = []
-    projected, dropped_forbid, dropped_empty = [], [], []
-    for table in model.tables:
-        if feature not in table.scope:
-            tables.append(table)
-            continue
-        if table.polarity == FORBID:
-            dropped_forbid.append(table)
-            continue
-        rest = table.scope.difference(gone)
-        if len(rest) == 0:
-            dropped_empty.append(table)
-            continue
-        keep = [i for i, f in enumerate(table.scope.names) if f != feature]
-        rows = {tuple(row[i] for i in keep) for row in table.tuples}
-        new_table = ConstraintTable(rest, ALLOW, rows)
-        tables.append(new_table)
-        projected.append(table)
-    labels = {
-        k: v
-        for k, v in model.labels.items()
-        if k != feature and not k.startswith(feature + ".")
-    }
-    out = Model(model.name, fibers, tables, labels)
-    return out, RemovalReport(tuple(projected), tuple(dropped_forbid), tuple(dropped_empty))
+# conditioning
 
 
 def condition(model: Model, a: Assignment) -> Model:
@@ -340,7 +271,7 @@ def overlap_union_report(
     """
     overlap = p_left.family.universe.intersection(p_right.family.universe)
     per_object: dict[Subset, ObjectDiff] = {}
-    for u in restrict_family(p_merged.family, overlap).objects_sorted:
+    for u in _shortlex(overlap.names):
         literal = set(p_left.rows[u]).union(p_right.rows[u])
         per_object[u] = _object_diff(u, literal, set(p_merged.rows[u]))
     return DiffReport(per_object)

@@ -698,67 +698,30 @@ def _yoneda_report(rep: AbstractPresheaf, f: AbstractPresheaf, d: Subset) -> Law
 
 
 # ---------------------------------------------------------------------------
-# pullback along a functor between subset lattices
+# pullback along a feature identification
 
 
-def _object_map(functor, family: CoverFamily) -> dict[Subset, Subset]:
-    if callable(functor):
-        mapping = {u: functor(u) for u in family.objects_sorted}
-    else:
-        mapping = {u: functor[u] for u in family.objects_sorted}
-    for u, v in family.inclusions():
-        if not mapping[u].issubset(mapping[v]):
-            raise MalformedInputError(
-                f"functor is not monotone: {u} ⊆ {v} but {mapping[u]} ⊄ {mapping[v]}"
-            )
-    return mapping
+def pullback_presheaf(h, q: AssignmentPresheaf) -> AssignmentPresheaf:
+    """Pull a compiled presheaf back along a feature identification.
 
-
-def pullback_presheaf(
-    functor, q: Presheaf, *, family: CoverFamily | None = None
-) -> Presheaf:
-    """Reindex a presheaf along a functor into its family.
-
-    For an abstract presheaf, ``functor`` is a monotone object map (dict or
-    callable) from ``family`` into ``q``'s family, and the result simply
-    reads ``q`` at the image object.  For an assignment presheaf, pass a
-    feature identification (anything with ``feature_map`` and ``value_maps``);
-    the induced object map takes a target feature set to its source image and
-    values are pulled back through the value maps, i.e. an assignment is
-    admitted exactly when its value-mapped image is admitted at the source.
+    ``h`` is anything with ``feature_map`` (target feature to source
+    feature) and ``value_maps`` (target value to source value, per target
+    feature), such as a :class:`~presh.ops.FeatureIdentification`.  The
+    result lives over every subset of the target features: at ``u`` it
+    admits a value combination exactly when its value-mapped image is
+    admitted by ``q`` at the image of ``u``.  It is built object by object
+    from ``q``'s rows, independently of :func:`~presh.ops.transfer`, which
+    pulls back the tables instead.
     """
-    if isinstance(q, AbstractPresheaf):
-        if family is None:
-            raise MalformedInputError("pullback of an abstract presheaf needs a family")
-        mapping = _object_map(functor, family)
-        for u in family.objects_sorted:
-            q.family.require(mapping[u])
-        elements = {u: tuple(q.elements[mapping[u]]) for u in family.objects_sorted}
-        restrictions = {
-            (u, v): dict(q.restrictions[(mapping[u], mapping[v])])
-            for u, v in family.inclusions()
-        }
-        return AbstractPresheaf(family, elements, restrictions)
-
-    if not isinstance(q, AssignmentPresheaf):
-        raise MalformedInputError(f"not a presheaf: {type(q).__name__}")
-    feature_map = getattr(functor, "feature_map", None)
-    value_maps = getattr(functor, "value_maps", None)
-    if feature_map is None or value_maps is None:
-        raise MalformedInputError(
-            "pullback of an assignment presheaf needs a feature identification"
-        )
+    feature_map, value_maps = h.feature_map, h.value_maps
     for tgt, src in feature_map.items():
         if src not in q.fibers:
             raise MalformedInputError(f"mapped feature {src!r} missing from the source")
-    fibers = {
-        tgt: Fiber(tgt, tuple(value_maps[tgt].keys())) for tgt in feature_map
-    }
-    fam = family or close_family(Subset(feature_map))
-    mapping = {u: Subset(feature_map[t] for t in u) for u in fam.objects_sorted}
+    fibers = {tgt: Fiber(tgt, tuple(value_maps[tgt])) for tgt in feature_map}
+    fam = close_family(Subset(feature_map))
     rows: dict[Subset, tuple[tuple[str, ...], ...]] = {}
     for u in fam.objects_sorted:
-        src_obj = q.family.require(mapping[u])
+        src_obj = q.family.require(Subset(feature_map[t] for t in u))
         admitted = frozenset(q.rows[src_obj])
         out = []
         for combo in product(*(fibers[t].values for t in u.names)):

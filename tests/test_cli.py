@@ -1310,6 +1310,8 @@ CLI_CASES = {
     "hub-render-canvas": ("hub", "render", "DigitalHub", "canvas"),
     "hub-render-workspace": ("hub", "render", "workspace", "dot"),
     "hub-refused-sections": ("hub", "--max-enum", "2", "sections", "PC"),
+    # a negative bound is malformed input, not a bound every estimate exceeds
+    "hub-negative-max-enum": ("hub", "--max-enum", "-5", "sections", "PC"),
     "wine-render-canvas": ("wine", "render", "Wine", "canvas"),
     "organization-render-dot": ("organization", "render", "Organization", "dot"),
     "comma-sections": ("comma", "sections", "DigitalHub"),
@@ -1401,6 +1403,12 @@ def golden_mismatches(record, cases=CLI_CASES, golden_dir=GOLDEN_CLI) -> list[st
 def test_cli_output_matches_golden(case, fmt):
     golden = (GOLDEN_CLI / _golden_name(case, fmt)).read_text(encoding="utf-8")
     assert _cli_record(case, fmt) == golden
+
+
+def test_usage_text_does_not_follow_the_terminal_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    golden = GOLDEN_CLI / _golden_name("hub-negative-max-enum", "text")
+    assert _cli_record("hub-negative-max-enum", "text") == golden.read_text(encoding="utf-8")
 
 
 def test_every_cli_golden_has_a_case():

@@ -7,9 +7,6 @@ import pytest
 
 import presh.cli  # noqa: F401  (imports every module that defines a record)
 from presh.dsl import MergeDirective, SourceSpan
-from presh.lattice import Subset
-from presh.model import ConstraintTable
-from presh.ops import RemovalReport
 from presh.report import Frozen, LawReport, Violation
 
 
@@ -48,12 +45,10 @@ def test_binding_errors_are_type_errors(call, message):
 
 
 def test_a_class_attribute_named_like_a_field_is_its_default():
-    table = ConstraintTable(Subset(["a"]), "forbid", [("x",)])
     assert SourceSpan(3, 7, length=2).length == 2
     assert SourceSpan(column=7, line=3) == SourceSpan(3, 7, 1)
     assert Violation(law="l", detail="d").witness == ()
     assert LawReport(violations=()) == LawReport()
-    assert RemovalReport(dropped_empty=(table,)) == RemovalReport((), (), (table,))
 
 
 def test_only_validating_or_slot_backed_records_write_an_init():

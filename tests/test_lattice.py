@@ -13,10 +13,6 @@ from presh.lattice import (
     check_adjunction_triple,
     close_family,
     extend_functor_f1,
-    is_subobject,
-    join,
-    meet,
-    restrict_family,
     restriction_functor_r,
 )
 from presh.report import Violation
@@ -163,72 +159,6 @@ class TestTrustedConstructor:
                 self._same(got_v, want_v)
 
 
-class TestMeetJoin:
-    def test_examples(self):
-        fam = close_family(S("a", "b", "c"))
-        assert meet(fam, S("a", "b"), S("b", "c")) == S("b")
-        assert join(fam, S("a"), S("b")) == S("a", "b")
-
-    def test_membership_precondition(self):
-        fam = close_family(S("a", "b"))
-        with pytest.raises(MalformedInputError):
-            meet(fam, S("a"), S("z"))
-
-    def test_meet_is_the_greatest_lower_bound(self):
-        fam = close_family(S("a", "b", "c", "d"))
-        objs = fam.objects_sorted
-        for u in objs:
-            for v in objs:
-                m = meet(fam, u, v)
-                lower = [w for w in objs if w.issubset(u) and w.issubset(v)]
-                assert m in lower
-                assert all(w.issubset(m) for w in lower)
-
-    def test_lattice_laws(self):
-        fam = close_family(Subset(f"f{i}" for i in range(5)))
-        objs = fam.objects_sorted
-        rng = random.Random(7)
-        sample = rng.sample(objs, 12)
-        for u in sample:
-            assert meet(fam, u, u) == u and join(fam, u, u) == u
-            for v in sample:
-                assert meet(fam, u, v) == meet(fam, v, u)
-                assert join(fam, u, v) == join(fam, v, u)
-                assert meet(fam, u, join(fam, u, v)) == u  # absorption
-                assert join(fam, u, meet(fam, u, v)) == u
-                for w in sample:
-                    assert meet(fam, meet(fam, u, v), w) == meet(fam, u, meet(fam, v, w))
-                    assert join(fam, join(fam, u, v), w) == join(fam, u, join(fam, v, w))
-
-
-class TestRestrictFamily:
-    def test_power_set_restriction(self):
-        fam = close_family(S("a", "b", "c"))
-        res = restrict_family(fam, S("a", "b"))
-        assert res.objects == full_power_set(S("a", "b"))
-        assert res.universe == S("a", "b")
-
-    def test_identity_case(self):
-        fam = close_family(S("a", "b"))
-        assert restrict_family(fam, fam.universe) == fam
-
-    def test_matches_filter_oracle(self):
-        rng = random.Random(11)
-        universe = S("a", "b", "c", "d")
-        fam = close_family(universe)
-        for _ in range(10):
-            s0 = Subset(rng.sample(universe.names, rng.randint(0, 4)))
-            res = restrict_family(fam, s0)
-            assert res.objects == frozenset(
-                u for u in fam.objects if u.issubset(s0)
-            )
-
-    def test_not_a_subset(self):
-        fam = close_family(S("a"))
-        with pytest.raises(MalformedInputError):
-            restrict_family(fam, S("z"))
-
-
 class TestFunctorTriple:
     def test_padding_instance(self):
         assert extend_functor_f1(S("a"), S("a"), S("a", "b")) == S("a", "b")
@@ -336,17 +266,20 @@ class TestAdjunction:
 
 
 class TestIsSubobject:
+    """``Subset.issubset`` against set containment: the poset category has
+    an arrow u -> v exactly when u ⊆ v."""
+
     def test_examples(self):
-        assert is_subobject(S("a"), S("a", "b"))
-        assert not is_subobject(S("a", "b"), S("a"))
+        assert S("a").issubset(S("a", "b"))
+        assert not S("a", "b").issubset(S("a"))
         # equal, empty on either side, disjoint, and overlapping but not contained
-        assert is_subobject(S("a", "b"), S("a", "b"))
-        assert is_subobject(S(), S()) and is_subobject(S(), S("a"))
-        assert not is_subobject(S("a"), S())
-        assert not is_subobject(S("a", "b"), S("c", "d"))
-        assert not is_subobject(S("a", "c"), S("a", "b"))
+        assert S("a", "b").issubset(S("a", "b"))
+        assert S().issubset(S()) and S().issubset(S("a"))
+        assert not S("a").issubset(S())
+        assert not S("a", "b").issubset(S("c", "d"))
+        assert not S("a", "c").issubset(S("a", "b"))
 
     @given(st.sets(st.sampled_from("abcde")), st.sets(st.sampled_from("abcde")))
     @settings(max_examples=60)
     def test_agrees_with_containment(self, left, right):
-        assert is_subobject(Subset(left), Subset(right)) == (set(left) <= set(right))
+        assert Subset(left).issubset(Subset(right)) == (set(left) <= set(right))

@@ -9,7 +9,6 @@ from presh.model import (
     ConstraintTable,
     Model,
     compile_model,
-    family_of,
     oracle_sections,
     random_model,
 )
@@ -57,7 +56,7 @@ class TestCompile:
             [Fiber("a", ("x",)), Fiber("b", ("x",)), Fiber("c", ("x",))],
             [ConstraintTable(S("a", "b"), "allow", [("x", "x")])],
         )
-        fam = family_of(m)
+        fam = compile_model(m).family
         assert S("a", "b") in fam.objects
         # no table names {b,c}: the family is every subset of the features
         assert S("b", "c") in fam.objects

@@ -15,15 +15,12 @@ from presh.ops import (
     DiffReport,
     FeatureIdentification,
     ObjectDiff,
-    add_feature,
     amalgamate,
     analogy_check,
     condition,
     diff_presheaves,
     emergent_sections,
-    extend_fiber,
     overlap_union_report,
-    remove_feature,
     transfer,
 )
 from presh.presheaf import (
@@ -69,79 +66,6 @@ ITUNES_SECTION = dict(
     computing="large",
     share="bought_and_shared_online",
 )
-
-
-class TestExtendFiber:
-    def test_screen_gains_large(self, camcorder_model):
-        out = extend_fiber(camcorder_model, "screen", ("large",))
-        assert out.fibers["screen"].values == ("small", "large")
-        assert out.tables == camcorder_model.tables
-
-    def test_empty_extension_is_identity(self, camcorder_model):
-        assert extend_fiber(camcorder_model, "screen", ()) == camcorder_model
-
-    def test_duplicate_value_rejected(self, camcorder_model):
-        with pytest.raises(MalformedInputError):
-            extend_fiber(camcorder_model, "screen", ("small",))
-
-    def test_unknown_feature_rejected(self, camcorder_model):
-        with pytest.raises(MalformedInputError):
-            extend_fiber(camcorder_model, "nope", ("x",))
-
-    def test_guarded_extension_never_shrinks_global_sections(self):
-        from presh.model import random_model
-
-        for seed in (1, 5, 9, 22, 30):
-            m = random_model(seed, max_features=4)
-            feature = m.feature_order()[0]
-            grown = extend_fiber(m, feature, ("extra_value",))
-            merged = amalgamate(m, grown)
-            before = {a for a in oracle_sections(m, m.features)}
-            after = {a for a in oracle_sections(merged.result, m.features)}
-            assert before <= after
-
-
-class TestAddRemoveFeature:
-    def test_add_then_remove_round_trips(self, camcorder_model):
-        grown = add_feature(camcorder_model, Fiber("audio", ("mono", "stereo")))
-        back, report = remove_feature(grown, "audio")
-        assert back == camcorder_model
-        assert report.dropped_forbid == ()
-
-    def test_add_fresh_only(self, camcorder_model):
-        with pytest.raises(MalformedInputError):
-            add_feature(camcorder_model, Fiber("screen", ("x",)))
-
-    def test_add_unconstrained_multiplies_global_sections(self, org_model):
-        base = len(global_sections(compile_model(org_model)))
-        grown = add_feature(org_model, Fiber("k", ("v0", "v1", "v2")))
-        assert len(global_sections(compile_model(grown))) == base * 3
-
-    def test_removing_screen_frees_quick_editing(self, camcorder_model):
-        shrunk, report = remove_feature(camcorder_model, "screen")
-        assert len(report.dropped_forbid) == 1
-        gs = set(global_sections(compile_model(shrunk)))
-        assert A(film="prof_and_amateur", edit="quick_and_easy_editing") in gs
-
-    def test_allow_tables_are_projected(self):
-        m = Model(
-            "m",
-            [Fiber("a", ("x", "y")), Fiber("b", ("p", "q"))],
-            [ConstraintTable(S("a", "b"), "allow", [("x", "p")])],
-        )
-        out, report = remove_feature(m, "b")
-        assert out.tables == (ConstraintTable(S("a"), "allow", [("x",)]),)
-        assert len(report.projected) == 1
-
-    def test_single_feature_scope_drops_to_empty(self):
-        m = Model(
-            "m",
-            [Fiber("a", ("x", "y"))],
-            [ConstraintTable(S("a"), "allow", [("x",)])],
-        )
-        out, report = remove_feature(m, "a")
-        assert out.tables == ()
-        assert len(report.dropped_empty) == 1
 
 
 class TestCondition:
@@ -260,6 +184,20 @@ class TestCondition:
 
 
 class TestAmalgamate:
+    def test_guarded_extension_never_shrinks_global_sections(self):
+        for seed in (1, 5, 9, 22, 30):
+            m = random_model(seed, max_features=4)
+            feature = m.feature_order()[0]
+            fibers = [
+                Fiber(f, fib.values + ("extra_value",)) if f == feature else fib
+                for f, fib in m.fibers.items()
+            ]
+            grown = Model(m.name, fibers, m.tables, m.labels)
+            merged = amalgamate(m, grown)
+            before = {a for a in oracle_sections(m, m.features)}
+            after = {a for a in oracle_sections(merged.result, m.features)}
+            assert before <= after
+
     def test_imovie_emergent_section_exists(self, pc_model, camcorder_model):
         merged = amalgamate(pc_model, camcorder_model, name="IMovieHub")
         p = compile_model(merged.result)

@@ -22,7 +22,6 @@ from presh.presheaf import (
     extensions,
     global_sections,
     nat_transformations,
-    pullback_presheaf,
     random_abstract_presheaf,
     representable,
     restrict_assignment,
@@ -859,38 +858,6 @@ class TestYoneda:
             for d in fam.objects_sorted:
                 nats = nat_transformations(representable(fam, d), f)
                 assert len(nats) == len(f.elements[d])
-
-
-class TestPullback:
-    def test_identity_functor_for_abstract(self):
-        fam = close_family(S("a", "b"))
-        f = random_abstract_presheaf(8, fam)
-        back = pullback_presheaf({u: u for u in fam.objects_sorted}, f, family=fam)
-        assert back.elements == f.elements
-        assert back.restrictions == f.restrictions
-
-    def test_constant_functor_reads_the_bottom(self):
-        fam = close_family(S("a", "b"))
-        f = random_abstract_presheaf(21, fam)
-        back = pullback_presheaf(lambda u: S(), f, family=fam)
-        for u in fam.objects_sorted:
-            assert back.elements[u] == f.elements[S()]
-        assert validate_laws(back).passed
-
-    def test_non_monotone_map_rejected_with_witness(self):
-        fam = close_family(S("a", "b"))
-        f = random_abstract_presheaf(5, fam)
-        swap = {u: u for u in fam.objects_sorted}
-        swap[S("a")] = S("a", "b")
-        swap[S("a", "b")] = S("a")
-        with pytest.raises(MalformedInputError, match="monotone"):
-            pullback_presheaf(swap, f, family=fam)
-
-    def test_pullback_outputs_are_lawful(self):
-        fam = close_family(S("a", "b"))
-        f = random_abstract_presheaf(30, fam)
-        back = pullback_presheaf(lambda u: u.intersection(S("a")), f, family=fam)
-        assert validate_laws(back).passed
 
 
 class TestAsAbstract:

@@ -27,7 +27,6 @@ from presh.ops import (
     GuardedTable,
     MergedModel,
     ObjectDiff,
-    RemovalReport,
     SharedFiber,
 )
 from presh.presheaf import (
@@ -260,14 +259,6 @@ CASES = [
         False,
     ),
     Case(
-        RemovalReport,
-        lambda: {"projected": (_table(),), "dropped_forbid": (), "dropped_empty": ()},
-        lambda: {"projected": (), "dropped_forbid": (_table(),), "dropped_empty": ()},
-        "RemovalReport(projected=(ConstraintTable(scope=Subset(names=('a',)), "
-        "polarity='forbid', tuples=(('y',),)),), dropped_forbid=(), dropped_empty=())",
-        True,
-    ),
-    Case(
         SourceSpan,
         lambda: {"line": 3, "column": 7, "length": 1},
         lambda: {"line": 3, "column": 7, "length": 2},
@@ -417,7 +408,6 @@ def test_defaults():
     assert Violation("law", "detail").witness == ()
     assert LawReport().violations == ()
     assert LawReport().passed
-    assert RemovalReport() == RemovalReport((), (), ())
     assert SourceSpan(1, 2).length == 1
     model = Model("M", [Fiber("a", ("x",))])
     assert (model.tables, model.labels) == ((), {})
