@@ -72,15 +72,18 @@ class _CheckFailed(PreshError):
 class Execution(Record):
     """A parsed workspace with its directives carried out."""
 
-    _fields = ("workspace", "max_enum", "artifacts", "_compiled")
+    workspace: Workspace
+    max_enum: int
+    artifacts: dict[str, Model]
+    _compiled: dict[tuple, AssignmentPresheaf]
 
     def __init__(self, workspace: Workspace, max_enum: int):
         self.workspace = workspace
         self.max_enum = max_enum
-        self.artifacts: dict[str, Model] = {}
+        self.artifacts = {}
         # the table scopes each transfer directive left out, when it left any
         self.transfer_skips: dict[TransferDirective, tuple[Subset, ...]] = {}
-        self._compiled: dict[tuple, AssignmentPresheaf] = {}
+        self._compiled = {}
         # the law report of each compiled presheaf, under the same key
         self._reports: dict[tuple, LawReport] = {}
 

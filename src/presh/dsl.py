@@ -47,7 +47,6 @@ FORMAT_VERSION = 1
 
 
 class SourceSpan(Frozen):
-    _fields = ("line", "column", "length")
     line: int
     column: int
     length: int = 1
@@ -80,28 +79,24 @@ class ParseError(PreshError):
 class IdentificationDecl(Frozen):
     """A named identification plus the domain names it was declared between."""
 
-    _fields = ("ident", "target_name", "source_name")
     ident: FeatureIdentification
     target_name: str
     source_name: str
 
 
 class MergeDirective(Frozen):
-    _fields = ("result", "left", "right")
     result: str
     left: str
     right: str
 
 
 class TransferDirective(Frozen):
-    _fields = ("result", "identification", "source")
     result: str
     identification: str
     source: str
 
 
 class CheckDirective(Frozen):
-    _fields = ("target",)
     target: str
 
 
@@ -112,7 +107,6 @@ WorkspaceItem = Union[Model, IdentificationDecl, Directive]
 class Workspace(Frozen):
     """Everything a workspace file declares, in declaration order."""
 
-    _fields = ("items",)
     items: tuple[WorkspaceItem, ...]
 
     @cached_property

@@ -51,7 +51,6 @@ class ConstraintTable(Frozen):
     """
 
     __slots__ = ("scope", "polarity", "tuples")
-    _fields = ("scope", "polarity", "tuples")
     scope: Subset
     polarity: str
     tuples: tuple[tuple[str, ...], ...]
@@ -59,6 +58,9 @@ class ConstraintTable(Frozen):
     def __init__(self, scope: Subset, polarity: str, tuples: Iterable[Sequence[str]]):
         if polarity not in (ALLOW, FORBID):
             raise MalformedInputError(f"polarity must be allow or forbid, not {polarity!r}")
+        if not isinstance(scope, Subset):
+            kind = type(scope).__name__
+            raise MalformedInputError(f"constraint scope is a {kind}, not a Subset")
         if len(scope) == 0:
             raise MalformedInputError("constraint scope is empty")
         rows = sorted(set(tuple(t) for t in tuples))
@@ -70,15 +72,6 @@ class ConstraintTable(Frozen):
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "polarity", polarity)
         object.__setattr__(self, "tuples", tuple(rows))
-
-    def __eq__(self, other: object):
-        if other.__class__ is ConstraintTable:
-            mine = (self.scope, self.polarity, self.tuples)
-            return mine == (other.scope, other.polarity, other.tuples)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.scope, self.polarity, self.tuples))
 
     def admits(self, row: tuple[str, ...]) -> bool:
         if self.polarity == ALLOW:
@@ -97,7 +90,6 @@ class Model(Frozen):
     equal models compare equal.  A label key is a feature or ``feature.value``.
     """
 
-    _fields = ("name", "fibers", "tables", "labels")
     name: str
     fibers: Mapping[str, Fiber]
     tables: tuple[ConstraintTable, ...]

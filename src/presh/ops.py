@@ -46,7 +46,6 @@ class FeatureIdentification(Frozen):
     canonical fiber order of the transferred model.
     """
 
-    _fields = ("name", "feature_map", "value_maps")
     name: str
     feature_map: Mapping[str, str]
     value_maps: Mapping[str, Mapping[str, str]]
@@ -85,7 +84,6 @@ class FeatureIdentification(Frozen):
 class SharedFiber(Frozen):
     """Merge provenance for one shared feature."""
 
-    _fields = ("feature", "left_values", "right_values", "added_from_right", "reordered")
     feature: str
     left_values: tuple[str, ...]
     right_values: tuple[str, ...]
@@ -96,7 +94,6 @@ class SharedFiber(Frozen):
 class GuardedTable(Frozen):
     """Merge provenance for one imported table."""
 
-    _fields = ("source", "original", "imported", "guarded")
     source: str  # "left" | "right"
     original: ConstraintTable
     imported: ConstraintTable
@@ -104,14 +101,12 @@ class GuardedTable(Frozen):
 
 
 class MergedModel(Frozen):
-    _fields = ("result", "shared", "tables")
     result: Model
     shared: tuple[SharedFiber, ...]
     tables: tuple[GuardedTable, ...]
 
 
 class ObjectDiff(Frozen):
-    _fields = ("only_in_left", "only_in_right")
     only_in_left: tuple[Assignment, ...]
     only_in_right: tuple[Assignment, ...]
 
@@ -121,7 +116,6 @@ class ObjectDiff(Frozen):
 
 
 class DiffReport(Frozen):
-    _fields = ("per_object",)
     per_object: Mapping[Subset, ObjectDiff]
 
     @property
@@ -257,6 +251,14 @@ def amalgamate(left: Model, right: Model, *, name: str | None = None) -> MergedM
     return MergedModel(result, tuple(shared), tuple(imported))
 
 
+def _require_merged(features: Subset, p_merged: AssignmentPresheaf, what: str) -> None:
+    top = p_merged.family.universe
+    if not features.issubset(top):
+        raise MalformedInputError(
+            f"{what} {features} are not all among the merged features {top}"
+        )
+
+
 def overlap_union_report(
     p_merged: AssignmentPresheaf,
     p_left: AssignmentPresheaf,
@@ -270,6 +272,7 @@ def overlap_union_report(
     merge admits even though neither source listed them.
     """
     overlap = p_left.family.universe.intersection(p_right.family.universe)
+    _require_merged(overlap, p_merged, "the sources' shared features")
     per_object: dict[Subset, ObjectDiff] = {}
     for u in _shortlex(overlap.names):
         literal = set(p_left.rows[u]).union(p_right.rows[u])
@@ -285,17 +288,18 @@ def _object_diff(u: Subset, left: set, right: set) -> ObjectDiff:
 def diff_presheaves(
     p_left: AssignmentPresheaf, p_right: AssignmentPresheaf
 ) -> DiffReport:
-    """Objectwise section diff over the objects the two families share."""
+    """Objectwise section diff over the objects the two families share, in
+    shortlex order: every subset of the features both have."""
+    shared = p_left.family.universe.intersection(p_right.family.universe)
     per_object: dict[Subset, ObjectDiff] = {}
-    for u in p_left.family.objects_sorted:
-        if u in p_right.family:
-            left, right = p_left.rows[u], p_right.rows[u]
-            # equal row tuples hold equal sets: skip building them
-            per_object[u] = (
-                ObjectDiff((), ())
-                if left == right
-                else _object_diff(u, set(left), set(right))
-            )
+    for u in _shortlex(shared.names):
+        left, right = p_left.rows[u], p_right.rows[u]
+        # equal row tuples hold equal sets: skip building them
+        per_object[u] = (
+            ObjectDiff((), ())
+            if left == right
+            else _object_diff(u, set(left), set(right))
+        )
     return DiffReport(per_object)
 
 
@@ -314,6 +318,8 @@ def emergent_sections(
     against its section set with another, so no generator frame runs per
     merged row; the emergent rows keep the merged presheaf's order.
     """
+    for p in (p_left, p_right):
+        _require_merged(p.family.universe, p_merged, "source features")
     top = p_merged.family.universe
     merged = p_merged.rows[top]
     left_hits, right_hits = [

@@ -52,7 +52,6 @@ class Fiber(Frozen):
     is kept as a tuple.
     """
 
-    _fields = ("feature", "values")
     feature: str
     values: tuple[str, ...]
 
@@ -66,14 +65,6 @@ class Fiber(Frozen):
         for v in values:
             check_feature_name(v)
         super().__init__(feature, values)
-
-    def __eq__(self, other: object):
-        if other.__class__ is Fiber:
-            return (self.feature, self.values) == (other.feature, other.values)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.feature, self.values))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -91,7 +82,6 @@ class Assignment(Frozen):
     """
 
     __slots__ = ("domain", "values")
-    _fields = ("domain", "values")
     domain: Subset
     values: tuple[str, ...]
 
@@ -114,14 +104,6 @@ class Assignment(Frozen):
         any(map(_set_domain, made, repeat(domain)))
         any(map(_set_values, made, rows))
         return made
-
-    def __eq__(self, other: object):
-        if other.__class__ is Assignment:
-            return (self.domain, self.values) == (other.domain, other.values)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.values))
 
     @staticmethod
     def from_mapping(binding: Mapping[str, str]) -> "Assignment":
@@ -227,7 +209,6 @@ class AssignmentPresheaf(Frozen):
     each object on first read.
     """
 
-    _fields = ("family", "fibers", "rows")
     family: CoverFamily
     fibers: Mapping[str, Fiber]
     rows: Mapping[Subset, tuple[tuple[str, ...], ...]]
@@ -261,7 +242,6 @@ class AbstractPresheaf(Frozen):
     raw constructor does not validate; run :func:`validate_laws`.
     """
 
-    _fields = ("family", "elements", "restrictions")
     family: CoverFamily
     elements: Mapping[Subset, tuple[str, ...]]
     restrictions: Mapping[tuple[Subset, Subset], Mapping[str, str]]
@@ -273,7 +253,6 @@ class AbstractPresheaf(Frozen):
 class NatTransformation(Frozen):
     """An objectwise family of maps commuting with restrictions."""
 
-    _fields = ("components",)
     components: Mapping[Subset, Mapping[str, str]]
 
     def at(self, u: Subset) -> Mapping[str, str]:

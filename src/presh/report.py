@@ -1,9 +1,11 @@
 """Law-check reports: a pass flag plus a witness for every violation.
 
 Also home to :class:`Record` and :class:`Frozen`, the small bases of
-presh's value types.  Each type lists its fields in ``_fields``; the bases
-give it field-tuple equality and a ``Type(field=value, ...)`` repr.
-:class:`Frozen` adds the one constructor, which binds arguments to
+presh's value types.  A type's fields are the names its class body
+annotates, in order; :meth:`Record.__init_subclass__` stores them in
+``_fields`` with one ``attrgetter`` that reads them all, and the bases
+compare and hash that getter's result and give a ``Type(field=value, ...)``
+repr.  :class:`Frozen` adds the one constructor, which binds arguments to
 ``_fields`` as a ``def`` with those parameters would (a class attribute
 named like a field is its default), and makes the fields read-only.  A
 type that validates checks its arguments, then calls ``super().__init__``.
@@ -11,19 +13,26 @@ type that validates checks its arguments, then calls ``super().__init__``.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
-    """Fields named by ``_fields``; equal when the class and every field agree."""
+    """Fields named by the class annotations; equal when the class and every
+    field agree."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        if fields:
+            # one field's getter gives its bare value, several a tuple of them
+            cls._fields, cls._field_values = fields, attrgetter(*fields)
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self._field_values(self) == other._field_values(other)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -69,7 +78,7 @@ class Frozen(Record):
         return [values[f] for f in fields]
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._field_values(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -79,7 +88,6 @@ class Frozen(Record):
 
 
 class Violation(Frozen):
-    _fields = ("law", "detail", "witness")
     law: str
     detail: str
     witness: tuple = ()
@@ -89,7 +97,6 @@ class Violation(Frozen):
 
 
 class LawReport(Frozen):
-    _fields = ("violations",)
     violations: tuple[Violation, ...] = ()
 
     @property

@@ -241,6 +241,12 @@ class TestModelValue:
         with pytest.raises(MalformedInputError):
             ConstraintTable(S("a", "b"), "allow", [("x",)])
 
+    def test_scope_must_be_a_subset(self):
+        # a plain list or string of names used to pass and break Model later
+        for scope in (["a"], ("a",), "a"):
+            with pytest.raises(MalformedInputError, match="not a Subset"):
+                ConstraintTable(scope, "allow", [("x",)])
+
 
 class TestModelBoundary:
     """A model given its fibers, tables and rows as any iterable, in any

@@ -356,6 +356,18 @@ class TestOverlapUnion:
             )
 
 
+    def test_shared_features_outside_the_merge_are_rejected(self):
+        a, c = Fiber("a", ("x",)), Fiber("c", ("z",))
+        p_merged = compile_model(Model("M", [a, Fiber("b", ("y",))]))
+        p_left = compile_model(Model("L", [a, c]))
+        p_right = compile_model(Model("R", [c]))
+        with pytest.raises(
+            MalformedInputError,
+            match=r"shared features \{c\} are not all among the merged features \{a,b\}",
+        ):
+            overlap_union_report(p_merged, p_left, p_right)
+
+
 class TestAgainstReferences:
     """The row-native ops equal their Assignment-set references, order included."""
 
@@ -391,6 +403,15 @@ class TestEmergent:
 
     def test_self_merge_has_no_emergent_sections(self, camcorder_model):
         assert _emergent(camcorder_model, camcorder_model) == ()
+
+    def test_source_features_outside_the_merge_are_rejected(self):
+        p = compile_model(Model("P", [Fiber("a", ("x",))]))
+        q = compile_model(Model("Q", [Fiber("a", ("x",)), Fiber("b", ("y",))]))
+        with pytest.raises(
+            MalformedInputError,
+            match=r"source features \{a,b\} are not all among the merged features \{a\}",
+        ):
+            emergent_sections(p, p, q)
 
     def test_emergent_sections_use_an_escaped_value(self, pc_model, camcorder_model):
         emergent = _emergent(pc_model, camcorder_model)
