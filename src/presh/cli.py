@@ -174,7 +174,10 @@ def execute(workspace: Workspace, *, max_enum: int) -> Execution:
 # helpers
 
 
-def _parse_object_spec(spec: str, model: Model) -> Subset:
+def _parse_object_spec(spec: str | None, model: Model) -> Subset:
+    """The object ``spec`` names, or the model's universe when it is None."""
+    if spec is None:
+        return model.features
     body = spec.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
@@ -346,11 +349,7 @@ def cmd_check(ex: Execution, args, out: _Out) -> int:
 def cmd_sections(ex: Execution, args, out: _Out) -> int:
     model = ex.artifact(args.model)
     p = ex.compile(model)
-    obj = (
-        _parse_object_spec(args.object, model)
-        if args.object is not None
-        else p.family.universe
-    )
+    obj = _parse_object_spec(args.object, model)
     rows = p.rows[obj]
     out.payload.update(
         {
@@ -382,11 +381,7 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     # refuses on the whole model's estimate, before any object is read
     p = ex.compile(model)
     a = _parse_assignment(args.assignment, model)
-    target = (
-        _parse_object_spec(args.target, model)
-        if args.target is not None
-        else p.family.universe
-    )
+    target = _parse_object_spec(args.target, model)
     d = a.domain
     # of the whole model, this reads only d's prefix chain
     _require_local_section(p, a)

@@ -257,13 +257,12 @@ def _quote(text: str) -> str:
 class _ModelBuilder:
     def __init__(self, name: str):
         self.name = name
-        self.fibers: list[Fiber] = []
         self.by_name: dict[str, Fiber] = {}
         self.tables: list[ConstraintTable] = []
         self.labels: dict[str, str] = {}
 
     def build(self) -> Model:
-        return Model(self.name, self.fibers, self.tables, self.labels)
+        return Model(self.name, self.by_name, self.tables, self.labels)
 
 
 class _IdentBuilder:
@@ -420,9 +419,7 @@ class _Parser:
             if line.done():
                 break
             line.expect("|")
-        fib = Fiber(name[1], tuple(values))
-        m.fibers.append(fib)
-        m.by_name[name[1]] = fib
+        m.by_name[name[1]] = Fiber(name[1], tuple(values))
 
     def _model_label(self, line: _Line) -> None:
         line.take()
@@ -653,8 +650,7 @@ class _Parser:
         line.take()
         target = line.name("artifact name")
         line.end()
-        if target[1] not in self.defined:
-            raise line.error(f"undefined reference {target[1]!r}", target)
+        self._resolve_artifact(target, line)
         self.items.append(CheckDirective(target[1]))
 
 

@@ -119,11 +119,8 @@ class Assignment(Frozen):
         except ValueError:
             raise MalformedInputError(f"{feature!r} not in {self.domain}") from None
 
-    def token(self) -> str:
-        return _token(self.domain.names, self.values)
-
     def __str__(self) -> str:
-        return self.token()
+        return _token(self.domain.names, self.values)
 
 
 # The slot setters ``Assignment._trusted`` maps over its new instances.
