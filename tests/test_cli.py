@@ -54,6 +54,13 @@ def run(capsys, *args):
 
 
 class TestExitCodes:
+    def test_success(self, capsys, data_dir):
+        code, _, _ = run(
+            capsys, "--workspace", str(data_dir / "organization.psh"), "sections",
+            "Organization",
+        )
+        assert code == 0
+
     def test_parse_error_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.psh"
         bad.write_text("model m\nfeature a: x | x\n")
@@ -79,6 +86,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {ws}:2:9: cannot include 'bad.psh': ")
         assert "can't decode byte 0xff" in err
+
+    def test_check_failure_is_1(self, capsys):
+        code, _, _ = run(
+            capsys,
+            "--workspace",
+            str(FIXTURES / "broken_analogy.pshw"),
+            "check",
+            "--laws=analogy",
+        )
+        assert code == 1
 
     @pytest.mark.parametrize(
         "command, model",
@@ -155,7 +172,36 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestSections:
+    def test_org_universe(self, capsys, data_dir):
+        code, out, _ = run(
+            capsys, "--workspace", str(data_dir / "organization.psh"), "sections",
+            "Organization",
+        )
+        assert code == 0
+        assert "3" in out.splitlines()[0]
+        assert "levels=many,size=large" in out
+
+
 class TestExtend:
+    def test_blocked_local_section_prints_blocking_scopes(self, capsys, hub_path):
+        code, out, _ = run(
+            capsys, "--workspace", hub_path, "extend", "Camcorder",
+            "film=prof_and_amateur,edit=quick_and_easy_editing",
+        )
+        assert code == 0
+        assert "extensions" in out and ": 0" in out
+        assert "blocking scopes:" in out
+        assert "{edit,film,screen}" in out
+
+    def test_restriction_of_global_section_extends(self, capsys, hub_path):
+        code, out, _ = run(
+            capsys, "--workspace", hub_path, "extend", "Camcorder",
+            "film=prof_and_amateur",
+        )
+        assert code == 0
+        assert ": 1" in out.splitlines()[0]
+
     def test_refusal_names_the_full_models_estimate(self, capsys, tmp_path):
         # conditioned on a=x the estimate is 4 (b alone), under the bound;
         # the whole model's 4 * 4 = 16 is not, and it decides
@@ -628,6 +674,16 @@ def test_check_answers_like_the_references_on_random_workspaces(capsys, tmp_path
 
 
 class TestMergeTransferDiff:
+    def test_merge_prints_the_emergent_section(self, capsys, hub_path):
+        code, out, _ = run(capsys, "--workspace", hub_path, "merge", "PC", "Camcorder")
+        assert code == 0
+        assert "emergent sections: 6" in out
+        assert (
+            "computing=large,edit=quick_and_easy_editing,"
+            "film=prof_and_amateur,screen=large" in out
+        )
+        assert "cross-combinations" in out
+
     def test_merge_emit_round_trips(self, capsys, hub_path, tmp_path):
         target = tmp_path / "hub.psh"
         code, _, _ = run(
@@ -639,6 +695,17 @@ class TestMergeTransferDiff:
         assert emitted.name == "VideoHub"
         assert "edit" in emitted.fibers and "computing" in emitted.fibers
 
+    def test_transfer_reports_passing_analogy(self, capsys, hub_path):
+        code, out, _ = run(
+            capsys, "--workspace", hub_path, "transfer", "AudioVideo", "IMovieHub"
+        )
+        assert code == 0
+        assert "analogy against ITunes: ok" in out
+        assert (
+            "computing=large,music=music_usage_everywhere,"
+            "share=bought_and_shared_online,storage=large" in out
+        )
+
     def test_reordered_shared_fiber_warns(self, capsys, tmp_path):
         ws = tmp_path / "pair.pshw"
         ws.write_text(
@@ -647,6 +714,18 @@ class TestMergeTransferDiff:
         code, out, _ = run(capsys, "--workspace", str(ws), "merge", "L", "R")
         assert code == 0
         assert "different order" in out
+
+    def test_diff_of_model_with_itself_is_clean(self, capsys, hub_path):
+        code, out, _ = run(capsys, "--workspace", hub_path, "diff", "PC", "PC")
+        assert code == 0
+        assert "agree" in out
+
+    def test_diff_reports_direction(self, capsys, hub_path):
+        code, out, _ = run(
+            capsys, "--workspace", hub_path, "diff", "Camcorder", "IMovieHub"
+        )
+        assert code == 0
+        assert ">" in out
 
 
 class TestRender:
@@ -673,6 +752,26 @@ class TestRender:
 
 
 class TestMachineOutput:
+    def test_byte_stability_across_runs(self, capsys, hub_path):
+        outputs = set()
+        for _ in range(2):
+            _, out, _ = run(
+                capsys, "--workspace", hub_path, "--format", "machine", "merge",
+                "PC", "Camcorder",
+            )
+            outputs.add(out)
+        assert len(outputs) == 1
+
+    def test_machine_render_emits_json(self, capsys, hub_path):
+        code, out, _ = run(
+            capsys, "--workspace", hub_path, "--format", "machine", "render",
+            "workspace", "dot",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["command"] == "render"
+        assert payload["rendering"].startswith("digraph workspace")
+
     # names and values JSON must escape, and ``%``s that text formatting
     # would read; each name sorted, as a Subset's names are
     NAMES = tuple(sorted(['a"q', "b\\s", "%s", "100%", "é", "z\t"]))
@@ -722,6 +821,15 @@ class TestCheck:
         for suite in ("closure", "adjunction", "yoneda", "analogy"):
             assert f"{suite}: ok" in out
         assert elapsed < 5.0
+
+    def test_broken_analogy_prints_witnesses(self, capsys):
+        code, out, _ = run(
+            capsys, "--workspace", str(FIXTURES / "broken_analogy.pshw"), "check",
+            "--laws=analogy",
+        )
+        assert code == 1
+        assert "analogy: FAIL" in out
+        assert "only in the transfer" in out
 
     def test_failing_check_directive_is_1_with_its_violations(
         self, capsys, monkeypatch, hub_path

@@ -73,10 +73,110 @@ class TestParseModel:
         m = parse_model(text)
         assert m.labels == {"a": "Feature A", "a.x": "value x"}
 
+    def test_exactly_one_model(self):
+        with pytest.raises(ParseError):
+            parse_model("model a\nfeature f: x\nmodel b\nfeature g: y\n")
+        with pytest.raises(ParseError):
+            parse_model("# nothing\n")
+
 
 class TestErrorSpans:
-    # every other rejection is a PARSE_CASES row; this message ends in
-    # Python's own wording, which can differ between versions
+    def test_undeclared_value_exact_span(self):
+        text = "model m\nfeature size: s | l\nallow (size): (xl)\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert spans(err.value) == (3, 16)
+        assert err.value.expected == "one of s|l"
+        assert err.value.found == "xl"
+
+    def test_unknown_feature_in_scope(self):
+        text = "model m\nfeature a: x\nforbid (b): (x)\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert spans(err.value) == (3, 9)
+        assert "unknown feature 'b'" in err.value.message
+
+    def test_duplicate_value(self):
+        text = "model m\nfeature a: x | x\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert spans(err.value) == (2, 16)
+
+    def test_arity_mismatch_points_at_the_tuple(self):
+        text = "model m\nfeature a: x\nfeature b: y\nallow (a, b): (x)\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert spans(err.value) == (4, 15)
+        assert err.value.expected == "2 values"
+
+    def test_cover_seed_names_unknown_feature(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("model m\nfeature a: x\ncover: {a,z}\n")
+        assert spans(err.value) == (3, 11)
+        assert "unknown feature 'z'" in err.value.message
+
+    def test_duplicate_feature(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("model m\nfeature a: x\nfeature a: y\n")
+        assert spans(err.value) == (3, 9)
+
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("model m\nfeature a: x\n@oops\n")
+        assert spans(err.value) == (3, 1)
+
+    def test_label_for_unknown_value(self):
+        with pytest.raises(ParseError) as err:
+            parse_model('model m\nfeature a: x\nlabel a.y "nope"\n')
+        assert spans(err.value) == (3, 9)
+
+    def test_forward_reference_in_merge(self):
+        text = "model A\nfeature f: x\nmerge X = A + B\nmodel B\nfeature g: y\n"
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert spans(err.value) == (3, 15)
+        assert "undefined reference 'B'" in err.value.message
+
+    def test_duplicate_names_across_kinds(self):
+        text = "model A\nfeature f: x\nmerge A = A + A\n"
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert "duplicate name 'A'" in err.value.message
+
+    def test_transfer_requires_an_identification(self):
+        text = "model A\nfeature f: x\ntransfer T = A of A\n"
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert "undefined identification" in err.value.message
+
+    def test_unclosed_identification_block(self):
+        text = "model A\nfeature f: x\nidentify h: T -> A {\n  feature t -> f {\n"
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert "never closed" in err.value.message
+
+    def test_model_file_rejects_directives(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("model A\nfeature f: x\ncheck A\n")
+        assert "not allowed in a model file" in err.value.message
+
+    def test_bad_format_version(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("format 2\nmodel m\nfeature a: x\n")
+        assert spans(err.value) == (1, 8)
+
+    def test_include_requires_psh(self, tmp_path):
+        ws = tmp_path / "w.pshw"
+        ws.write_text('include "other.pshw"\n')
+        with pytest.raises(ParseError) as err:
+            parse_workspace(ws.read_text(), base=tmp_path)
+        assert "only model files" in err.value.message
+
+    def test_missing_include_reported_at_the_string(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            parse_workspace('include "gone.psh"\n', base=tmp_path)
+        assert spans(err.value) == (1, 9)
+
     def test_nul_in_include_path_reported_at_the_string(self, tmp_path):
         with pytest.raises(ParseError) as err:
             parse_workspace('include "nul\x00.psh"\n', base=tmp_path)
