@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 from .errors import EnumerationBoundError, MalformedInputError
 from .report import Frozen, LawReport, Violation
 
-#: Valid feature (and value, and model) name.
+#: Valid feature, value, model or identification name.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 #: Largest universe for which a family (2**n objects) may be materialized.
@@ -39,9 +39,11 @@ LATTICE_SIZE_BOUND = 12
 ADJUNCTION_SWEEP_BOUND = 5
 
 
-def check_feature_name(name: str) -> str:
+def check_name(name: str, kind: str) -> str:
+    """``name``, if it is a valid name; ``kind`` (feature, value, model,
+    identification) says which in the error otherwise."""
     if not isinstance(name, str) or not NAME_RE.match(name):
-        raise MalformedInputError(f"invalid feature name {name!r}")
+        raise MalformedInputError(f"invalid {kind} name {name!r}")
     return name
 
 
@@ -58,7 +60,7 @@ class Subset(Frozen):
     def __init__(self, names: Iterable[str] = ()):
         ordered = tuple(sorted(set(names)))
         for n in ordered:
-            check_feature_name(n)
+            check_name(n, "feature")
         object.__setattr__(self, "names", ordered)
 
     # Own pair, not the base getter: Subset keys every restriction map (~5 % of check).

@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from . import kernel
 from .errors import EnumerationBoundError, MalformedInputError
-from .lattice import CoverFamily, Subset, check_feature_name, close_family
+from .lattice import CoverFamily, Subset, check_name, close_family
 from .presheaf import Assignment, AssignmentPresheaf, Fiber
 from .report import Frozen
 
@@ -102,7 +102,7 @@ class Model(Frozen):
         tables: Iterable[ConstraintTable] = (),
         labels: Mapping[str, str] | None = None,
     ):
-        check_feature_name(name)
+        check_name(name, "model")
         tables = tuple(tables)  # read twice below: checked, then canonicalized
         if isinstance(fibers, Mapping):
             fiber_list = list(fibers.values())

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import MalformedInputError
-from .lattice import Subset, _shortlex, check_feature_name
+from .lattice import Subset, _shortlex, check_name
 from .model import ALLOW, FORBID, ConstraintTable, Model, require_scope_bound
 from .presheaf import (
     Assignment,
@@ -56,11 +56,11 @@ class FeatureIdentification(Frozen):
         feature_map: Mapping[str, str],
         value_maps: Mapping[str, Mapping[str, str]],
     ):
-        check_feature_name(name)
+        check_name(name, "identification")
         seen_sources: set[str] = set()
         for tgt, src in feature_map.items():
-            check_feature_name(tgt)
-            check_feature_name(src)
+            check_name(tgt, "feature")
+            check_name(src, "feature")
             if src in seen_sources:
                 raise MalformedInputError(
                     f"identification {name!r} maps two features onto {src!r}"

@@ -31,7 +31,7 @@ from .lattice import (
     Subset,
     _shortlex,
     _shortlex_masks,
-    check_feature_name,
+    check_name,
     close_family,
 )
 from .report import Frozen, LawReport, Violation
@@ -56,14 +56,14 @@ class Fiber(Frozen):
     values: tuple[str, ...]
 
     def __init__(self, feature: str, values: Iterable[str]):
-        check_feature_name(feature)
+        check_name(feature, "feature")
         values = tuple(values)
         if not values:
             raise MalformedInputError(f"fiber of {feature!r} is empty")
         if len(set(values)) != len(values):
             raise MalformedInputError(f"fiber of {feature!r} repeats a value")
         for v in values:
-            check_feature_name(v)
+            check_name(v, "value")
         super().__init__(feature, values)
 
     @cached_property
@@ -204,11 +204,24 @@ class AssignmentPresheaf(Frozen):
     ``u.names``, in canonical (:func:`row_sort_key`) order.  ``rows`` may be
     any mapping; the one :func:`presh.model.compile_model` returns builds
     each object on first read.
+
+    The pinned queries (:func:`extensions`, :func:`blocking_sets`) memoise
+    row groups in :attr:`_row_groups`: under the key ``(v.names, position,
+    value)``, the rows at ``v`` with ``value`` at ``position``, in stored
+    order.  An object gets at most one group per value at each position
+    (Σ|fiber| on a compiled presheaf), and the groups of one position share
+    no row, so the memo holds at most positions × rows references per
+    object.  ``rows`` must not change after the first pinned read.
     """
 
     family: CoverFamily
     fibers: Mapping[str, Fiber]
     rows: Mapping[Subset, tuple[tuple[str, ...], ...]]
+
+    @cached_property
+    def _row_groups(self) -> dict[tuple, tuple[tuple[str, ...], ...]]:
+        """The row groups :func:`_extending_rows` has picked, one per key."""
+        return {}
 
     def sections_at(self, u: Subset) -> tuple[Assignment, ...]:
         self.family.require(u)
@@ -478,16 +491,29 @@ def _extending_rows(
     """The rows at ``v`` (``a``'s domain ⊆ ``v``) that restrict to ``a``, in
     stored order.
 
-    Each pinned feature narrows the rows with one C-level pass over its
-    position, the last feature first.  That first pass reads every row at
-    the largest pinned position, so a row too short for any pinned feature
-    raises there, naming ``v``.  The empty section gets the stored rows
-    back unscanned.
+    The rows at ``v`` with ``a``'s value at its largest pinned position come
+    from ``p._row_groups``, keyed by ``(v.names, position, value)``.  On a
+    miss one C-level pass over every row at ``v`` picks them and the group
+    is stored; a row too short for that position, and so for any pinned
+    feature, raises there, naming ``v``, and nothing is stored.  Each other
+    pinned feature then narrows the group with one pass, the last feature
+    first.  The empty section gets the stored rows back unscanned.
     """
-    rows = p.rows[v]
+    pins, values = a.domain.names, a.values
+    if not pins:
+        return p.rows[v]
     at = v.names.index
+    last = at(pins[-1])
+    key = (v.names, last, values[-1])
+    groups = p._row_groups
+    rows = groups.get(key)
     try:
-        for f, x in zip(reversed(a.domain.names), reversed(a.values)):
+        if rows is None:
+            rows = p.rows[v]
+            rows = groups[key] = tuple(
+                compress(rows, map(eq, map(itemgetter(last), rows), repeat(values[-1])))
+            )
+        for f, x in zip(reversed(pins[:-1]), reversed(values[:-1])):
             rows = tuple(compress(rows, map(eq, map(itemgetter(at(f)), rows), repeat(x))))
     except IndexError:
         raise _short_row(v) from None
@@ -500,10 +526,13 @@ def extensions(
     """All sections at ``v`` restricting to ``a``, in the order ``p`` stores
     them; empty means ``a`` does not extend.
 
-    One C-level pass per pinned feature picks the rows (none for the empty
-    section), and only those are decoded.  A row at ``v`` too short for a
-    pinned feature, or of another arity than ``v`` among those picked,
-    raises ``MalformedInputError``.
+    The rows are picked by :func:`_extending_rows`: the rows holding
+    ``a``'s value at its largest pinned position come from ``p``'s memo of
+    row groups (one C-level pass over the rows at ``v`` on a miss), each
+    other pinned feature narrows them with one pass, and only those left are
+    decoded.  The empty section takes the stored rows unscanned.  A row at
+    ``v`` too short for a pinned feature, or of another arity than ``v``
+    among those picked, raises ``MalformedInputError``, on every repeat.
     """
     _require_local_section(p, a)
     p.family.require(v)

@@ -1208,7 +1208,12 @@ CLI_CASES = {
     ),
     "hub-merge": ("hub", "merge", "PC", "Camcorder"),
     "hub-merge-hub": ("hub", "merge", "IMovieHub", "ITunesFromVideo", "--name", "Hub"),
+    # the error names the kind of name that failed: a model name here
+    "hub-merge-invalid-name": ("hub", "merge", "PC", "Camcorder", "--name", "x y"),
     "hub-transfer": ("hub", "transfer", "AudioVideo", "IMovieHub"),
+    "hub-transfer-invalid-name": (
+        "hub", "transfer", "AudioVideo", "IMovieHub", "--name", "bad name"
+    ),
     "hub-transfer-unknown-identification": ("hub", "transfer", "nosuch", "PC"),
     "hub-diff": ("hub", "diff", "Camcorder", "IMovieHub"),
     "hub-diff-reversed": ("hub", "diff", "IMovieHub", "Camcorder"),

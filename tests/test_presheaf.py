@@ -560,6 +560,122 @@ class TestSections:
         assert {0, 1, 2, 3} <= sizes
         assert reordered
 
+    def test_repeated_extensions_in_both_orders_match_filter(self):
+        # The sweep of the filter-oracle test, asked twice, forward then
+        # backward, of one presheaf: later answers come from its row groups.
+        def filtered(q, a, v):
+            at = [v.names.index(f) for f in a.domain.names]
+            return tuple(
+                Assignment(v, row)
+                for row in q.rows[v]
+                if tuple(row[i] for i in at) == a.values
+            )
+
+        rng = random.Random(7)
+        shared = 0
+        for seed in range(20):
+            p = compile_model(random_model(seed, max_features=4))
+            shuffled = AssignmentPresheaf(
+                p.family,
+                p.fibers,
+                {u: tuple(rng.sample(rows, len(rows))) for u, rows in p.rows.items()},
+            )
+            objs = p.family.objects_sorted
+            queries = [
+                (a, v)
+                for v in objs
+                for u in objs
+                if u.issubset(v)
+                for a in p.sections_at(u)[:2]
+            ]
+            # sections that pin the same value at the same largest position
+            # of the same object: the later one reads the earlier one's group
+            first = {}
+            for a, v in queries:
+                if a.domain.names:
+                    key = (v.names, v.names.index(a.domain.names[-1]), a.values[-1])
+                    shared += first.setdefault(key, a) != a
+            for q in (p, shuffled):
+                for order in (queries, queries[::-1]):
+                    for a, v in order:
+                        assert extensions(q, a, v) == filtered(q, a, v)
+        assert shared
+
+    def test_row_groups_leave_equality_and_repr_alone(self):
+        compiled = compile_model(random_model(4, max_features=4))
+        p, q = (
+            AssignmentPresheaf(compiled.family, compiled.fibers, dict(compiled.rows.items()))
+            for _ in range(2)
+        )
+        universe = p.family.universe
+        for a in global_sections(p):
+            extensions(p, restrict_assignment(a, S(universe.names[-1])), universe)
+        assert p._row_groups and "_row_groups" not in repr(p)
+        assert p == q and repr(p) == repr(q)
+
+    def test_second_query_with_the_same_last_pin_reads_the_group(self):
+        class CountingRows(tuple):
+            """Rows that count how many each of their iterators hands out."""
+
+            read = 0
+
+            def __iter__(self):
+                for row in super().__iter__():
+                    CountingRows.read += 1
+                    yield row
+
+        abc = S("a", "b", "c")
+        family = close_family(abc)
+        fibers = {f: Fiber(f, ("x", "y")) for f in "abc"}
+        rows = {u: tuple(product("xy", repeat=len(u))) for u in family.objects_sorted}
+        rows[abc] = CountingRows(rows[abc])
+        p = AssignmentPresheaf(family, fibers, rows)
+
+        def read_by(query):
+            before = CountingRows.read
+            result = query()
+            return result, CountingRows.read - before
+
+        got, read = read_by(lambda: extensions(p, A(a="x", c="x"), abc))
+        assert got == (A(a="x", b="x", c="x"), A(a="x", b="y", c="x"))
+        assert read >= 8  # every row at abc, for the group of c=x
+        # the same last pin: the stored c=x group is narrowed, abc's rows unread
+        got, read = read_by(lambda: extensions(p, A(b="y", c="x"), abc))
+        assert got == (A(a="x", b="y", c="x"), A(a="y", b="y", c="x"))
+        assert read == 0
+        got, read = read_by(lambda: blocking_sets(p, A(c="x")))
+        assert (got, read) == ((), 0)
+        # another value at the same position is another group
+        got, read = read_by(lambda: extensions(p, A(c="y"), abc))
+        assert len(got) == 4 and read >= 8
+
+    def test_short_row_raises_on_every_repeat(self):
+        message = r"^a row at \{a,b\} has fewer than 2 values$"
+        fibers = {f: Fiber(f, ("x", "y")) for f in "ab"}
+        rows = {S(): ((),), S("a"): (("x",),), S("b"): (("x",),)}
+        late = AssignmentPresheaf(
+            close_family(S("a", "b")), fibers, {**rows, S("a", "b"): (("x", "x"), ("y",))}
+        )
+        for _ in range(3):
+            with pytest.raises(MalformedInputError, match=message):
+                extensions(late, A(b="x"), S("a", "b"))
+            with pytest.raises(MalformedInputError, match=message):
+                blocking_sets(late, A(b="x"))
+            # the short row is long enough at position 0: that group is kept
+            assert extensions(late, A(a="x"), S("a", "b")) == (A(a="x", b="x"),)
+        # two pins: the group of the first pin's position does not spare the
+        # pass at the second's
+        abc = S("a", "b", "c")
+        ragged = AssignmentPresheaf(
+            close_family(abc),
+            {f: Fiber(f, ("x", "y")) for f in "abc"},
+            {S("a", "c"): (("x", "x"),), S("a"): (("x",),), abc: (("x", "x", "x"), ("y", "x"))},
+        )
+        for _ in range(3):
+            assert extensions(ragged, A(a="x"), abc) == (A(a="x", b="x", c="x"),)
+            with pytest.raises(MalformedInputError, match=r"^a row at \{a,b,c\} has fewer"):
+                extensions(ragged, A(a="x", c="x"), abc)
+
     def test_short_row_is_malformed_input_naming_the_object(self):
         fibers = {f: Fiber(f, ("x", "y")) for f in "ab"}
         rows = {S(): ((),), S("a"): (("x",),), S("b"): (("x",),)}

@@ -19,6 +19,7 @@ from presh.dsl import (
     TransferDirective,
     Workspace,
 )
+from presh.errors import MalformedInputError
 from presh.lattice import CoverFamily, Subset
 from presh.model import ConstraintTable, Model
 from presh.ops import (
@@ -422,6 +423,28 @@ def test_cached_properties_survive_freezing():
     workspace = Workspace((Model("M", [fiber]), CheckDirective("M")))
     assert list(workspace.models) == ["M"]
     assert Subset._trusted(("a", "b")) == Subset(["b", "a"])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Subset(["has space"]), "invalid feature name 'has space'"),
+        (lambda: Fiber("9f", ("x",)), "invalid feature name '9f'"),
+        (lambda: Fiber("f", ("x y",)), "invalid value name 'x y'"),
+        (lambda: Model("x y", [_fiber()]), "invalid model name 'x y'"),
+        (
+            lambda: FeatureIdentification("bad name", {"a": "b"}, {"a": {"x": "p"}}),
+            "invalid identification name 'bad name'",
+        ),
+        (
+            lambda: FeatureIdentification("h", {"a": "b c"}, {"a": {"x": "p"}}),
+            "invalid feature name 'b c'",
+        ),
+    ],
+)
+def test_name_errors_say_which_kind_of_name_failed(make, message):
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        make()
 
 
 def test_import_of_the_cli_loads_no_dataclasses_or_inspect():
