@@ -18,10 +18,16 @@ merge/transfer/check instructions::
     check Hub
 
 Names must be declared before use; parsing never executes anything.  Every
-rejection carries a 1-based source span.  A table line inside a model, in the
-shape ``serialize`` writes, is read with one regex match and checked as the
-token path checks it; every other line, and a table line that fails a check,
-is tokenized, so every error comes from the token path.  ``serialize`` emits
+rejection carries a 1-based source span.  The lines ``serialize`` writes many
+of are read with one regex match each, in the shape it writes them (any
+blanks, a trailing comment): ``feature`` and table lines inside a model, and
+``feature t -> s {``, ``tv -> sv`` and a feature block's ``}`` inside an
+identification.  A match is checked as the token path checks the line, and
+a name in it ends where the tokenizer's token ends (``x-> y`` holds the name
+``x-``, so it does not match).  Every other line, and a matched line that
+fails a check, is tokenized, so every error comes from the token path.
+Labels, ``cover:`` lines, directives and each identification's own head and
+last ``}`` are always tokenized.  ``serialize`` emits
 the canonical form (tables sorted, one value-map pair per line) and is a
 fixed point: ``serialize(parse(serialize(x))) == serialize(x)``.  A model
 may also hold ``cover: {a,b}, {c}`` lines; they are accepted and ignored
@@ -146,17 +152,33 @@ _TOKEN_RE = re.compile(
     re.X,
 )
 
-# A table line in the shape ``serialize`` writes: ``allow|forbid (f, ...):``
-# then ``(v, ...)`` tuples, commas between names and between tuples, any
-# blanks and a trailing comment.  Names are the tokenizer's (``\w`` is
-# ``[A-Za-z0-9_]`` under ``re.ASCII``, which also compiles faster), and a
-# name in the pattern ends only at a blank, a comma or a paren, so splitting
-# a match at its commas and parens reads the tokens the tokenizer would.
+# One match reads a whole line in the shape ``serialize`` writes, with any
+# blanks and a trailing comment; a line that does not match is tokenized.
+# Names are the tokenizer's (``\w`` is ``[A-Za-z0-9_]`` under ``re.ASCII``,
+# which also compiles faster), and a name in a pattern ends where its token
+# ends: in a model body every name is followed by a blank, a comma, a paren,
+# a colon, a bar or a comment, none of which a name can take in, and in an
+# identification body a name before an arrow is guarded by ``(?![\w-])``,
+# so ``x-> y`` is not read as ``x -> y`` (the tokenizer reads the name
+# ``x-`` there).  So splitting a match at its punctuation reads the tokens
+# the tokenizer would.
 _NAME = r"[A-Za-z_][\w-]*"
 _NAMES = rf"[ \t]*{_NAME}(?:[ \t]*,[ \t]*{_NAME})*[ \t]*"
-_TABLE_RE = re.compile(
-    rf"[ \t]*(allow|forbid)[ \t]*\(({_NAMES})\)[ \t]*:"
-    rf"((?:[ \t]*\({_NAMES}\)(?:[ \t]*,[ \t]*\({_NAMES}\))*)?)[ \t]*(?:\#.*)?",
+# A model body line: ``allow|forbid (f, ...):`` then ``(v, ...)`` tuples, commas
+# between names and between tuples (groups 1-3), or ``feature f: v | ...``
+# (groups 4-5).
+_MODEL_LINE_RE = re.compile(
+    rf"[ \t]*(?:(allow|forbid)[ \t]*\(({_NAMES})\)[ \t]*:"
+    rf"((?:[ \t]*\({_NAMES}\)(?:[ \t]*,[ \t]*\({_NAMES}\))*)?)"
+    rf"|feature[ \t]+({_NAME})[ \t]*:([ \t]*{_NAME}(?:[ \t]*\|[ \t]*{_NAME})*))"
+    r"[ \t]*(?:\#.*)?",
+    re.ASCII,
+)
+# An identification body line: ``feature t -> s {`` (groups 1-2), one value
+# pair ``tv -> sv`` (groups 3-4), or a closing ``}``.
+_IDENT_LINE_RE = re.compile(
+    rf"[ \t]*(?:feature[ \t]+({_NAME})(?![\w-])[ \t]*->[ \t]*({_NAME})[ \t]*\{{"
+    rf"|({_NAME})(?![\w-])[ \t]*->[ \t]*({_NAME})|\}})[ \t]*(?:\#.*)?",
     re.ASCII,
 )
 
@@ -262,7 +284,8 @@ class _ModelBuilder:
         self.labels: dict[str, str] = {}
 
     def build(self) -> Model:
-        return Model(self.name, self.by_name, self.tables, self.labels)
+        # the parser checked every name, value and label key it holds
+        return Model._trusted(self.name, self.by_name, self.tables, self.labels)
 
 
 class _IdentBuilder:
@@ -328,10 +351,14 @@ class _Parser:
     def parse(self) -> Workspace:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             # an open model means no identify block is (its head closes the
-            # model); a table line in canonical shape needs no tokens
+            # model); a body line in canonical shape needs no tokens
             if self.model is not None:
-                match = _TABLE_RE.fullmatch(raw)
-                if match is not None and self._read_table(match):
+                match = _MODEL_LINE_RE.fullmatch(raw)
+                if match is not None and self._read_model_line(match):
+                    continue
+            elif self.ident is not None:
+                match = _IDENT_LINE_RE.fullmatch(raw)
+                if match is not None and self._read_ident_line(match):
                     continue
             tokens = _tokenize(raw, lineno, self.source)
             if not tokens:
@@ -419,7 +446,7 @@ class _Parser:
             if line.done():
                 break
             line.expect("|")
-        m.by_name[name[1]] = Fiber(name[1], tuple(values))
+        m.by_name[name[1]] = Fiber._trusted(name[1], tuple(values))
 
     def _model_label(self, line: _Line) -> None:
         line.take()
@@ -459,12 +486,22 @@ class _Parser:
             if not line.done():
                 line.expect(",")
 
-    def _read_table(self, match: re.Match) -> bool:
-        """Add the table of a line in canonical shape, unless it breaks a rule
-        that ``_table`` checks: then add nothing, and the line is tokenized
-        so that ``_table`` raises the error."""
+    def _read_model_line(self, match: re.Match) -> bool:
+        """Add the feature or table of a model body line in canonical shape,
+        unless it breaks a rule that ``_model_feature`` or ``_table`` checks:
+        then add nothing, and the line is tokenized so that they raise the
+        error."""
         m = self.model
         assert m is not None
+        if match[1] is None:
+            name = match[4]
+            if name in m.by_name:
+                return False
+            values = match[5].replace(" ", "").replace("\t", "").split("|")
+            if len(set(values)) != len(values):
+                return False
+            m.by_name[name] = Fiber._trusted(name, tuple(values))
+            return True
         # the groups hold only names, commas and parens between the blanks
         scope, body = (g.replace(" ", "").replace("\t", "") for g in match.group(2, 3))
         written = scope.split(",")
@@ -537,7 +574,7 @@ class _Parser:
         if scope.names != tuple(written):  # reorder to canonical positions
             order = [written.index(f) for f in scope.names]
             rows = [[row[i] for i in order] for row in rows]
-        self.model.tables.append(ConstraintTable(scope, polarity, rows))
+        self.model.tables.append(ConstraintTable._trusted(scope, polarity, rows))
 
     # -- workspace items
 
@@ -559,6 +596,37 @@ class _Parser:
         model = parse_model(text, source=str(path))
         self._define(model.name, "model", tok, line)
         self.items.append(model)
+
+    def _read_ident_line(self, match: re.Match) -> bool:
+        """Take an identification body line in canonical shape as
+        ``_ident_line`` would, unless it breaks a rule that ``_ident_line``
+        checks or closes the whole block: then change nothing, and the line
+        is tokenized so that ``_ident_line`` raises the error or closes."""
+        ident = self.ident
+        assert ident is not None
+        tgt, src, tv, sv = match.group(1, 2, 3, 4)
+        if tgt is not None:
+            if (
+                ident.current is not None
+                or tgt in ident.feature_map
+                or src in ident.feature_map.values()
+            ):
+                return False
+            ident.feature_map[tgt] = src
+            ident.value_maps[tgt] = {}
+            ident.current = tgt
+            return True
+        if ident.current is None:
+            return False
+        if tv is None:  # the feature block's ``}``
+            ident.current = None
+            return True
+        vmap = ident.value_maps[ident.current]
+        # the token path reads a line that starts with ``feature`` as a head
+        if tv == "feature" or tv in vmap:
+            return False
+        vmap[tv] = sv
+        return True
 
     def _identify_head(self, line: _Line) -> None:
         head = line.take()

@@ -63,15 +63,28 @@ class ConstraintTable(Frozen):
             raise MalformedInputError(f"constraint scope is a {kind}, not a Subset")
         if len(scope) == 0:
             raise MalformedInputError("constraint scope is empty")
-        rows = sorted(set(tuple(t) for t in tuples))
-        for row in rows:
+        self._set(scope, polarity, tuples)
+        for row in self.tuples:
             if len(row) != len(scope):
                 raise MalformedInputError(
                     f"tuple {row} has arity {len(row)}, scope {scope} needs {len(scope)}"
                 )
+
+    @classmethod
+    def _trusted(
+        cls, scope: Subset, polarity: str, rows: Iterable[Sequence[str]]
+    ) -> "ConstraintTable":
+        """The table of ``rows``, each of ``scope``'s arity, under a valid
+        ``polarity`` and a non-empty ``scope``; skips ``__init__``'s checks."""
+        table = object.__new__(cls)
+        table._set(scope, polarity, rows)
+        return table
+
+    def _set(self, scope: Subset, polarity: str, rows: Iterable[Sequence[str]]) -> None:
+        # the canonical form: rows sorted and de-duplicated
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "polarity", polarity)
-        object.__setattr__(self, "tuples", tuple(rows))
+        object.__setattr__(self, "tuples", tuple(sorted(set(map(tuple, rows)))))
 
     def admits(self, row: tuple[str, ...]) -> bool:
         if self.polarity == ALLOW:
@@ -142,12 +155,36 @@ class Model(Frozen):
                 raise MalformedInputError(
                     f"label {key!r} names no feature or feature value"
                 )
-        super().__init__(
-            name,
-            dict(seen),
-            tuple(sorted(set(tables), key=ConstraintTable.sort_key)),
-            dict(labels),
-        )
+        self._set(name, seen, tables, dict(labels))
+
+    @classmethod
+    def _trusted(
+        cls,
+        name: str,
+        fibers: dict[str, Fiber],
+        tables: Iterable[ConstraintTable],
+        labels: dict[str, str],
+    ) -> "Model":
+        """The model of already checked parts: a valid ``name``, ``fibers``
+        keyed by their features, tables over declared features with values
+        from their fibers, and labels that name a feature or a value.  Skips
+        ``__init__``'s checks and keeps ``fibers`` and ``labels`` themselves,
+        which the caller must not change afterwards."""
+        model = object.__new__(cls)
+        model._set(name, fibers, tables, labels)
+        return model
+
+    def _set(
+        self,
+        name: str,
+        fibers: dict[str, Fiber],
+        tables: Iterable[ConstraintTable],
+        labels: dict[str, str],
+    ) -> None:
+        # the canonical form: tables de-duplicated and sorted, so
+        # structurally equal models compare equal
+        canonical = tuple(sorted(set(tables), key=ConstraintTable.sort_key))
+        super().__init__(name, fibers, canonical, labels)
 
     @property
     def features(self) -> Subset:

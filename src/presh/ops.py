@@ -153,7 +153,9 @@ def condition(model: Model, a: Assignment) -> Model:
             raise MalformedInputError(f"unknown feature {f!r}")
         if v not in fib:
             raise MalformedInputError(f"{v!r} is not a value of {f!r}")
-    fibers = [fib for f, fib in model.fibers.items() if f not in value]
+    # every part below comes from the checked model, so the result is built
+    # with the trusted constructors
+    fibers = {f: fib for f, fib in model.fibers.items() if f not in value}
     tables = []
     for table in model.tables:
         names = table.scope.names
@@ -168,8 +170,8 @@ def condition(model: Model, a: Assignment) -> Model:
         agrees, keep = _projection(inside), _projection(outside)
         rows = [keep(row) for row in table.tuples if agrees(row) == want]
         rest = Subset._trusted(keep(names))
-        tables.append(ConstraintTable(rest, table.polarity, rows))
-    return Model(model.name, fibers, tables)
+        tables.append(ConstraintTable._trusted(rest, table.polarity, rows))
+    return Model._trusted(model.name, fibers, tables, {})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class Fiber(Frozen):
 
     Declaration order is canonical and preserved bit-exactly; it drives
     enumeration order and serialization.  ``values`` may be any iterable; it
-    is kept as a tuple.
+    is kept as a tuple, and ``index`` maps each value to its position.
     """
 
     feature: str
@@ -64,11 +64,21 @@ class Fiber(Frozen):
             raise MalformedInputError(f"fiber of {feature!r} repeats a value")
         for v in values:
             check_name(v, "value")
-        super().__init__(feature, values)
+        self._set(feature, values)
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.values)}
+    @classmethod
+    def _trusted(cls, feature: str, values: tuple[str, ...]) -> "Fiber":
+        """The fiber of ``values``, a non-empty tuple of distinct valid names,
+        for the valid name ``feature``; skips ``__init__``'s checks."""
+        fiber = object.__new__(cls)
+        fiber._set(feature, values)
+        return fiber
+
+    def _set(self, feature: str, values: tuple[str, ...]) -> None:
+        # ``index`` (value -> position) is filled at once, not cached on
+        # first read: 3.11's ``cached_property`` takes a lock there
+        index = {v: i for i, v in enumerate(values)}
+        self.__dict__.update({"feature": feature, "values": values, "index": index})
 
     def __contains__(self, value: object) -> bool:
         return value in self.index

@@ -1165,8 +1165,9 @@ WORKSPACES = {
     "organization": DATA / "organization.psh",
     "broken": FIXTURES / "broken_analogy.pshw",
     "blocking": FIXTURES / "blocking.psh",
-    # the hub with every allow/forbid line ending in a comma, which only the
-    # token path of the table parser reads
+    # the hub with every allow/forbid line ending in a comma and every
+    # identification feature block on one line, which only the token path
+    # of the parser reads
     "comma": FIXTURES / "comma_tables/digital_hub.pshw",
 }
 CLI_CASES = {
@@ -1237,6 +1238,7 @@ CLI_CASES = {
     "organization-check": ("organization", "check", "--laws=closure,adjunction"),
     "organization-render-dot": ("organization", "render", "Organization", "dot"),
     "comma-sections": ("comma", "sections", "DigitalHub"),
+    "comma-transfer": ("comma", "transfer", "AudioVideo", "IMovieHub"),
     "broken-check": ("broken", "check"),
     "broken-check-closure": ("broken", "check", "--laws=closure"),
     "broken-check-analogy": ("broken", "check", "--laws=analogy"),
@@ -1348,21 +1350,36 @@ def test_cli_goldens_cover_every_exit_code():
     assert exits >= {f"exit {code}\n" for code in (0, 1, 2, 3)}
 
 
+def _one_line_feature_blocks(text: str) -> tuple[str, int]:
+    """``text`` with each identification feature block, from ``feature t -> s {``
+    to its ``}``, on one line, its value pairs joined by commas."""
+
+    def one_line(m: re.Match) -> str:
+        pairs = ", ".join(line.strip() for line in m[2].splitlines())
+        return f"{m[1]} {pairs} }}"
+
+    return re.subn(r"(?m)^(  feature .* \{)\n((?:    .*\n)+)  \}$", one_line, text)
+
+
 def test_comma_ended_tables_print_what_the_hub_prints():
-    # the fixture is the bundled hub with a comma after each table line
-    commas = 0
+    # the fixture is the bundled hub with a comma after each table line and
+    # each identification feature block on one line
+    commas = blocks = 0
     for path in (FIXTURES / "comma_tables").iterdir():
         bundled = (DATA / path.name).read_text(encoding="utf-8")
         expected, n = re.subn(r"(?m)^((?:allow|forbid) .*)$", r"\1,", bundled)
+        expected, k = _one_line_feature_blocks(expected)
         assert path.read_text(encoding="utf-8") == expected, path.name
         commas += n
-    assert commas > 0
+        blocks += k
+    assert commas > 0 and blocks > 0
     for fmt in FORMATS:
-        comma, hub = (
-            (GOLDEN_CLI / _golden_name(case, fmt)).read_text(encoding="utf-8")
-            for case in ("comma-sections", "hub-sections")
-        )
-        assert comma == hub, fmt
+        for case in ("sections", "transfer"):
+            comma, hub = (
+                (GOLDEN_CLI / _golden_name(f"{name}-{case}", fmt)).read_text(encoding="utf-8")
+                for name in ("comma", "hub")
+            )
+            assert comma == hub, (case, fmt)
 
 
 def test_golden_check_names_each_changed_missing_and_orphan_golden(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from presh import dsl
 from presh.dsl import (
     CheckDirective,
+    IdentificationDecl,
     MergeDirective,
     ParseError,
     TransferDirective,
+    Workspace,
     canonicalize,
     parse_model,
     parse_workspace,
@@ -24,7 +27,7 @@ from presh.errors import PreshError
 from presh.lattice import Subset
 from presh.model import compile_model, random_model
 from presh.presheaf import Assignment
-from util import without_cover_lines
+from util import random_identification, random_pair, without_cover_lines
 
 
 ORG_TEXT = """\
@@ -327,6 +330,7 @@ DATA_FILES = (
 )
 _M = "model m\nfeature a: x | y\nfeature b: p | q\n"
 _W = "model A\nfeature f: x | y\n"
+_W2 = _W + "feature g: p | q\n"
 PARSE_CASES = {
     "unexpected-character": ("model", _M + "allow (a): (x) $\n"),
     "unexpected-character-at-line-start": ("model", _M + "@oops\n"),
@@ -428,6 +432,71 @@ PARSE_CASES = {
     ),
     "table-arrow-in-tuple": ("model", _M + "allow (a): (x->y)\n"),
     "table-scope-out-of-order": ("model", _M + "forbid (b, a): (p, x), (q, y)\n"),
+    # feature and identification body lines: edge cases of their one-match
+    # paths and shapes only tokens read
+    "feature-without-blanks": ("model", "model m\nfeature a:x|y\n"),
+    "feature-tab-separators": ("model", "model m\nfeature\ta\t:\tx\t|\ty\n"),
+    "feature-trailing-comment": ("model", "model m\nfeature a: x | y  # both\n"),
+    "feature-named-feature": ("model", "model m\nfeature feature: x\n"),
+    "feature-hyphenated-names": ("model", "model m\nfeature a-: x- | y\n"),
+    "identify-canonical-block": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n    v -> x\n"
+        "    w -> y\n  }\n}\n"
+    ),
+    "identify-tab-separators": (
+        "workspace", _W + "identify h: T -> A {\n\tfeature\tt\t->\tf\t{\n"
+        "\t\tv\t->\tx\n\t}\n}\n"
+    ),
+    "identify-trailing-comments": (
+        "workspace", _W + "identify h: T -> A {  # c\n  feature t -> f {  # c\n"
+        "    v -> x  # c\n  }  # c\n}  # c\n"
+    ),
+    "identify-close-with-comment": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n    v -> x\n"
+        "  }  # c\n}\n"
+    ),
+    "identify-hyphen-before-arrow": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n    v-> x\n"
+        "  }\n}\n"
+    ),
+    "identify-feature-hyphen-before-arrow": (
+        "workspace", _W + "identify h: T -> A {\n  feature t-> f {\n    v -> x\n"
+        "  }\n}\n"
+    ),
+    "identify-pair-trailing-comma": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n    v -> x,\n"
+        "  }\n}\n"
+    ),
+    "identify-two-pairs-on-a-line": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n"
+        "    v -> x, w -> y\n  }\n}\n"
+    ),
+    "identify-feature-block-on-one-line": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f { v -> x }\n}\n"
+    ),
+    "identify-value-named-feature": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n"
+        "    feature -> x\n  }\n}\n"
+    ),
+    "identify-pair-outside-feature-block": (
+        "workspace", _W + "identify h: T -> A {\n    v -> x\n}\n"
+    ),
+    "identify-feature-block-never-closed": (
+        "workspace", _W2 + "identify h: T -> A {\n  feature t -> f {\n    v -> x\n"
+        "  feature u -> g {\n"
+    ),
+    "identify-target-twice-on-own-lines": (
+        "workspace", _W2 + "identify h: T -> A {\n  feature t -> f {\n    v -> x\n"
+        "  }\n  feature t -> g {\n"
+    ),
+    "identify-source-twice-on-own-lines": (
+        "workspace", _W2 + "identify h: T -> A {\n  feature t -> f {\n    v -> x\n"
+        "  }\n  feature u -> f {\n"
+    ),
+    "identify-value-twice-on-own-lines": (
+        "workspace", _W + "identify h: T -> A {\n  feature t -> f {\n    v -> x\n"
+        "    v -> y\n"
+    ),
 }
 _ALPHABET = (
     "abcdefghijklmnopqrstuvwxyzABCXYZ0123456789_ \t\n"
@@ -492,59 +561,119 @@ def test_parse_outcomes_match_golden():
     assert _parse_record() == PARSE_GOLDEN.read_text(encoding="utf-8")
 
 
+_NAME_FIND = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+_KEYWORDS = ("allow", "forbid", "feature")
+
+
 def _swap_name(text: str, seed: int) -> str:
-    # one name on one table line becomes another feature or value name, or
-    # an undeclared one: a repeated or unknown feature, a value out of its
-    # fiber, or a table that still reads
+    # one name on one table, feature or identification body line becomes
+    # another feature, value or identification name, the keyword
+    # ``feature``, or an undeclared name: a repeated or unknown feature, a
+    # repeated value, a feature or value mapped twice, a value out of its
+    # fiber, or a line that still reads
     rng = random.Random(seed)
     lines = text.splitlines(keepends=True)
-    at = [i for i, line in enumerate(lines) if line.startswith(("allow", "forbid"))]
+    at = [
+        i for i, line in enumerate(lines) if line.startswith(("allow", "forbid", "feature", "  "))
+    ]
     if not at:
         return text
     i = rng.choice(at)
-    names = list(re.finditer(r"[A-Za-z_][A-Za-z0-9_-]*", lines[i]))[1:]
+    names = [m for m in _NAME_FIND.finditer(lines[i]) if m[0] not in _KEYWORDS]
+    if not names:
+        return text
     hit = rng.choice(names)
-    fresh = rng.choice(sorted(set(re.findall(r"\b[xv]\d\b", text))) + ["x9", "v9"])
+    pool = sorted(set(re.findall(r"\b[xvtuw]\d\b", text))) + ["x9", "v9", "feature"]
+    fresh = rng.choice(pool)
     lines[i] = lines[i][: hit.start()] + fresh + lines[i][hit.end() :]
     return "".join(lines)
 
 
-def _random_model_texts():
-    for seed in range(150):
-        text = serialize(random_model(seed, max_tables=4))
-        yield text
+def _edit_line(text: str, seed: int) -> str:
+    # one line deleted, doubled or stripped of its blanks: an unclosed or
+    # missing feature block, a feature or pair declared twice, a shape the
+    # tokenizer splits differently (``w0->v1`` holds the name ``w0-``)
+    rng = random.Random(seed)
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    op = rng.choice(("delete", "double", "squeeze"))
+    if op == "delete":
+        del lines[i]
+    elif op == "double":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i].replace(" ", "").replace("\t", "")
+    return "".join(lines)
+
+
+def _random_workspace_text(seed: int) -> str:
+    left, right = random_pair(seed, max_features=5, max_fiber=4)
+    h = random_identification(seed, left)
+    return serialize(Workspace((
+        left,
+        right,
+        IdentificationDecl(h, "T", left.name),
+        MergeDirective("M", left.name, right.name),
+        TransferDirective("X", h.name, left.name),
+    )))
+
+
+def _one_match_sweep():
+    """(kind, text) pairs: seeded ``serialize``d models and workspaces with
+    identification blocks, and mutated, name-swapped and line-edited copies
+    of each."""
+    sources = [("model", serialize(random_model(seed, max_tables=4))) for seed in range(150)]
+    sources += [("workspace", _random_workspace_text(seed)) for seed in range(150)]
+    for n, (kind, text) in enumerate(sources):
+        yield kind, text
         for k in range(4):
-            yield _mutate(text, 1000 * seed + k)
-            yield _swap_name(text, 1000 * seed + k)
+            yield kind, _mutate(text, 1000 * n + k)
+            yield kind, _swap_name(text, 1000 * n + k)
+            yield kind, _edit_line(text, 1000 * n + k)
 
 
 def test_table_regex_and_token_path_agree(monkeypatch):
-    # canonical table lines are read with one regex match and every other
-    # line is tokenized: parsing with a regex that never matches (every
-    # table on the token path) must give the same digest, or the same
-    # error, span, expected and found, on seeded texts and their mutations
-    declined = []
-    read_table = dsl._Parser._read_table
+    # canonical table, feature and identification body lines are read with
+    # one match and every other line is tokenized: parsing with patterns
+    # that never match (every line on the token path) must give the same
+    # digest, or the same error, span, expected and found, on seeded texts
+    # and their mutations
+    seen = Counter()
+    read_model_line = dsl._Parser._read_model_line
+    read_ident_line = dsl._Parser._read_ident_line
 
-    def counting(self, match):
-        added = read_table(self, match)
-        declined.append(not added)
+    def counting_model(self, match):
+        added = read_model_line(self, match)
+        seen["table" if match[1] else "feature", added] += 1
         return added
 
-    monkeypatch.setattr(dsl._Parser, "_read_table", counting)
-    texts = list(_random_model_texts())
-    as_shipped = [_parse_outcome("model", t) for t in texts]
-    # both branches of the regex path, and errors as well as models
-    assert sum(declined) > 50 and declined.count(False) > 500, len(declined)
-    assert sum("error" in o for o in as_shipped) > 200
-    monkeypatch.setattr(dsl, "_TABLE_RE", re.compile(r"(?!)"))
-    assert [_parse_outcome("model", t) for t in texts] == as_shipped
+    def counting_ident(self, match):
+        added = read_ident_line(self, match)
+        seen["head" if match[1] else "pair" if match[3] else "close", added] += 1
+        return added
+
+    monkeypatch.setattr(dsl._Parser, "_read_model_line", counting_model)
+    monkeypatch.setattr(dsl._Parser, "_read_ident_line", counting_ident)
+    texts = list(_one_match_sweep())
+    as_shipped = [_parse_outcome(kind, t) for kind, t in texts]
+    # both branches of each one-match path, and errors as well as values;
+    # each floor is about half of what the sweep gives (heads: 16 declined)
+    floors = {"table": (50, 500), "feature": (100, 5000), "head": (8, 1000),
+              "pair": (20, 2000), "close": (400, 1000)}
+    for line, (declined, taken) in floors.items():
+        assert seen[line, False] > declined and seen[line, True] > taken, seen
+    assert sum("error" in o for o in as_shipped) > 800
+    assert sum("ok" in o for o in as_shipped) > 800
+    monkeypatch.setattr(dsl, "_MODEL_LINE_RE", re.compile(r"(?!)"))
+    monkeypatch.setattr(dsl, "_IDENT_LINE_RE", re.compile(r"(?!)"))
+    assert [_parse_outcome(kind, t) for kind, t in texts] == as_shipped
 
 
 def test_canonical_table_lines_are_never_tokenized(monkeypatch):
     # a silent fallback to the token path would keep every outcome and lose
-    # the speed, so it is pinned here: no table line that ``serialize``
-    # wrote, or that the bundled files hold, reaches the tokenizer
+    # the speed, so it is pinned here: no table, feature or identification
+    # body line that ``serialize`` wrote, or that the bundled files hold,
+    # reaches the tokenizer
     tokenized = []
     tokenize = dsl._tokenize
 
@@ -553,16 +682,20 @@ def test_canonical_table_lines_are_never_tokenized(monkeypatch):
         return tokenize(line, lineno, source)
 
     monkeypatch.setattr(dsl, "_tokenize", recording)
-    tables = 0
-    for seed in range(150):
-        text = serialize(random_model(seed, max_tables=4))
-        parse_model(text)
-        tables += text.count("\nallow (") + text.count("\nforbid (")
+    texts = [serialize(random_model(seed, max_tables=4)) for seed in range(150)]
+    texts += [_random_workspace_text(seed) for seed in range(150)]
+    for text in texts:
+        parse_workspace(text)
     for name in DATA_FILES:
         parse_workspace_file(DATA_DIR / name)
-    assert tables > 200
+    lines = "".join(texts).splitlines()
+    for shape, least in (("allow", 100), ("forbid", 100), ("feature", 500),
+                         ("  feature", 200), ("    ", 500), ("  }", 200)):
+        assert sum(line.startswith(shape) for line in lines) > least, shape
+    # what is left: heads, labels, directives, blank lines and each
+    # identification's last ``}``; every body line is indented or keyed
     assert tokenized and not [
-        line for line in tokenized if line.startswith(("allow", "forbid"))
+        line for line in tokenized if line.startswith(("allow", "forbid", "feature", "  "))
     ]
 
 
