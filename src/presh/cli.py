@@ -350,16 +350,20 @@ def cmd_sections(ex: Execution, args, out: _Out) -> int:
     model = ex.artifact(args.model)
     p = ex.compile(model)
     obj = _parse_object_spec(args.object, model)
-    rows = p.rows[obj]
+    if args.count:
+        count = p.rows.count(obj)
+    else:
+        rows = p.rows[obj]
+        count = len(rows)
     out.payload.update(
         {
             "model": args.model,
             "object": list(obj.names),
-            "count": len(rows),
+            "count": count,
             "sections": None,
         }
     )
-    out.text(f"sections of {args.model} at {obj}: {len(rows)}")
+    out.text(f"sections of {args.model} at {obj}: {count}")
     if not args.count:
         out.rows("sections", obj.names, rows)
     return EXIT_OK

@@ -11,7 +11,10 @@ Compilation checks the bounds and encodes the tables up front; each object
 is enumerated on first read, from its prefix object (the object minus its
 last feature), checking only the tables that end in that feature (the loop
 lives in :mod:`presh.kernel`).  A caller that reads one object pays for its
-prefix chain, and one that reads every object builds each once.
+prefix chain, and one that reads every object builds each once.  A caller
+that counts one object's rows (:meth:`_ObjectRows.count`) builds that chain
+only until a placed feature drops out of every later table's scope, and
+tallies the rest by the values that later tables still read.
 
 Two independent evaluation paths exist on purpose: :func:`oracle_sections`
 filters the naive full product per object with plain set membership and
@@ -22,9 +25,10 @@ correctness property of the whole package.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import kernel
 from .errors import EnumerationBoundError, MalformedInputError
@@ -265,13 +269,13 @@ class _ObjectRows(Mapping):
     Reading an object builds its prefix object (the object minus its last
     feature) first where that is not built yet, then the object itself in
     one :meth:`_CompiledModel.extend` step, and keeps every object on the
-    way, so a reader pays only for the prefix chains it touches.  Iteration
-    and ``len`` cover every object of the family in shortlex order, and
-    membership builds nothing.  ``items``, ``values`` and ``==`` read the
-    objects in that order, where each object's prefix object comes earlier,
-    so every read is one step from an object already built.  ``get`` gives
-    ``default`` and ``[]`` raises ``KeyError`` for anything that is not a
-    family object.
+    way, so a reader pays only for the prefix chains it touches, and
+    :meth:`count` only for the start of one.  Iteration and ``len`` cover
+    every object of the family in shortlex order, and membership builds
+    nothing.  ``items``, ``values`` and ``==`` read the objects in that
+    order, where each object's prefix object comes earlier, so every read is
+    one step from an object already built.  ``get`` gives ``default`` and
+    ``[]`` raises ``KeyError`` for anything that is not a family object.
     """
 
     def __init__(self, family: CoverFamily, enc: _CompiledModel):
@@ -307,6 +311,70 @@ class _ObjectRows(Mapping):
         rows = self._built[names] = tuple(self._enc.extend(rows, names))
         return rows
 
+    def count(self, u: Subset) -> int:
+        """The number of rows at the family object ``u``.
+
+        A built object answers with its length.  Otherwise the count walks
+        ``u``'s prefix chain as :meth:`_build` does, but builds rows only up
+        to the first step after which some placed feature is read by no
+        later table that fits ``u``.  From there it keeps a tally: for each
+        distinct value tuple of the features that later tables still read
+        (the frontier), the number of rows that agree with it.  The last
+        step is counted without making its rows.  This is bucket
+        elimination over (ℕ, +, ×) (Dechter, *AI* 1999) along the build
+        order.  A tally never holds more entries than the rows at the same
+        prefix.
+        """
+        if u not in self._family:
+            raise KeyError(u)
+        names = u.names
+        rows = self._built.get(names)
+        if rows is not None:
+            return len(rows)
+        # one pass over the tables that fit u: each step's tables, and for
+        # each feature the last step whose tables read it
+        held = frozenset(names)
+        drop = {}
+        steps = []
+        for i, f in enumerate(names):
+            drop[f] = i
+            fitting = []
+            for table in self._enc.by_last[f]:
+                if table[0](held):
+                    fitting.append(table)
+                    for g in table[1]:
+                        drop[g] = i
+            steps.append(fitting)
+        # rows are built up to the first step after which a placed feature
+        # is read no more; the last step is counted in any case
+        last = len(names) - 1
+        start = min(min(drop.values()) + 1, last)
+        placed = names[:start]
+        states = self._built.get(placed)
+        if states is None:
+            states = self._build(placed)
+        base = self._enc.base
+        if start == last:
+            return sum(map(len, _admitted(states, placed, base[names[last]], steps[last])))
+        # the distinct values at the frontier of the rows built, each with
+        # the number of rows that agree with it
+        frontier = tuple(f for f in placed if drop[f] >= start)
+        tally = Counter(map(_picker(placed, frontier), states))
+        for j in range(start, last):
+            states = list(tally)
+            admitted = _admitted(states, frontier, base[names[j]], steps[j])
+            placed = frontier + (names[j],)
+            frontier = tuple(f for f in placed if drop[f] > j)
+            pick = _picker(placed, frontier)
+            counts: dict[tuple, int] = {}
+            for state, n, vals in zip(states, tally.values(), admitted):
+                for v in vals:
+                    key = pick(state + (v,))
+                    counts[key] = counts.get(key, 0) + n
+            tally = counts
+        sizes = map(len, _admitted(list(tally), frontier, base[names[last]], steps[last]))
+        return sum(map(mul, tally.values(), sizes))
+
     def __iter__(self) -> Iterator[Subset]:
         return iter(self._family.objects_sorted)
 
@@ -315,6 +383,38 @@ class _ObjectRows(Mapping):
 
     def __contains__(self, u: object) -> bool:
         return u in self._family
+
+
+def _picker(names: tuple[str, ...], keep: tuple[str, ...]):
+    """A function from a row over ``names`` to its values at ``keep``."""
+    positions = tuple(map(names.index, keep))
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _admitted(states: Sequence[tuple], names: tuple[str, ...], values, tables) -> list:
+    """For each state (a value tuple over ``names``), the ``values`` of the
+    next feature that every one of ``tables`` (entries of
+    ``_CompiledModel.by_last``) admits after it, filtered as the kernel
+    filters."""
+    if not tables:
+        return [values] * len(states)
+    index = names.index
+    (key, admitted, default), *rest = [
+        (itemgetter(*map(index, scope)), admitted, default)
+        for _, scope, admitted, default in tables
+    ]
+    out = []
+    append = out.append
+    for state in states:
+        vals = admitted.get(key(state), default)
+        for other_key, other, other_default in rest:
+            allowed = other.get(other_key(state), other_default)
+            vals = [v for v in vals if v in allowed]
+        append(vals)
+    return out
 
 
 def compile_model(model: Model) -> AssignmentPresheaf:

@@ -31,6 +31,7 @@ from presh.presheaf import restrict_assignment, row_sort_key
 from util import (
     random_identification,
     random_pair,
+    record_builds,
     reference_blocking_sets,
     reference_diff_presheaves,
     reference_emergent_sections,
@@ -997,19 +998,6 @@ def test_section_lists_print_from_rows(capsys, monkeypatch, hub_path, fmt):
         assert out, command
 
 
-def _record_builds(monkeypatch) -> list:
-    """Every object a command builds, as (compiled model, feature names)."""
-    built = []
-    extend = model_mod._CompiledModel.extend
-
-    def recording_extend(self, prefix_rows, names):
-        built.append((self, names))
-        return extend(self, prefix_rows, names)
-
-    monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
-    return built
-
-
 WINE_FEATURES = (
     "aging", "complexity", "marketing", "prestige", "price", "range", "terminology"
 )
@@ -1018,7 +1006,9 @@ WINE_FEATURES = (
 @pytest.mark.parametrize(
     "query, expected",
     [
-        (["--count"], [WINE_FEATURES[:k] for k in range(1, 8)]),
+        # no table after prestige reads aging or prestige, so the count
+        # tallies from there on and builds no wider object
+        (["--count"], [WINE_FEATURES[:k] for k in range(1, 5)]),
         (["--object", "{price,range}"], [("price",), ("price", "range")]),
     ],
     ids=["count", "object"],
@@ -1026,7 +1016,7 @@ WINE_FEATURES = (
 def test_sections_builds_only_the_prefix_chain(
     capsys, monkeypatch, data_dir, query, expected
 ):
-    built = _record_builds(monkeypatch)
+    built = record_builds(monkeypatch)
     wine = str(data_dir / "wine.psh")
     code, _, _ = run(capsys, "--workspace", wine, "sections", "Wine", *query)
     assert code == 0
@@ -1034,7 +1024,7 @@ def test_sections_builds_only_the_prefix_chain(
 
 
 def test_check_builds_each_object_once_across_suites(capsys, monkeypatch, hub_path):
-    built = _record_builds(monkeypatch)
+    built = record_builds(monkeypatch)
     code, _, _ = run(capsys, "--workspace", hub_path, "check", "--laws=closure,analogy")
     assert code == 0
     assert len(built) == len(set(built))
@@ -1080,7 +1070,7 @@ def redundant_row_hub(pullback_hub, tmp_path):
 def test_transfer_onto_its_own_pullback_builds_only_the_universe_chain(
     capsys, monkeypatch, pullback_hub
 ):
-    built = _record_builds(monkeypatch)
+    built = record_builds(monkeypatch)
     code, out, _ = run(capsys, "--workspace", pullback_hub, "transfer", "AudioVideo",
                        "IMovieHub")
     assert code == 0
@@ -1094,7 +1084,7 @@ def test_transfer_onto_its_own_pullback_builds_only_the_universe_chain(
 def test_analogy_suite_on_its_own_pullback_builds_nothing(
     capsys, monkeypatch, pullback_hub
 ):
-    built = _record_builds(monkeypatch)
+    built = record_builds(monkeypatch)
     code, out, _ = run(capsys, "--workspace", pullback_hub, "check", "--laws=analogy")
     assert (code, out) == (0, "analogy: ok\n")
     assert built == []
@@ -1111,7 +1101,7 @@ def test_analogy_suite_on_its_own_pullback_builds_nothing(
 def test_analogy_with_equal_sections_but_other_tables_compares_every_object(
     capsys, monkeypatch, redundant_row_hub, command, last_line
 ):
-    built = _record_builds(monkeypatch)
+    built = record_builds(monkeypatch)
     code, out, _ = run(capsys, "--workspace", redundant_row_hub, *command)
     assert code == 0
     assert out.splitlines()[-1] == last_line
@@ -1169,6 +1159,9 @@ WORKSPACES = {
     # identification feature block on one line, which only the token path
     # of the parser reads
     "comma": FIXTURES / "comma_tables/digital_hub.pshw",
+    # 12 features of 8 values, consecutive features allowed to differ by at
+    # most one step: 807,574 global sections
+    "wide": FIXTURES / "wide_chain.psh",
 }
 CLI_CASES = {
     "hub-check": ("hub", "check"),
@@ -1228,6 +1221,12 @@ CLI_CASES = {
     # a negative bound is malformed input, not a bound every estimate exceeds
     "hub-negative-max-enum": ("hub", "--max-enum", "-5", "sections", "PC"),
     "wine-sections-count": ("wine", "sections", "Wine", "--count"),
+    # aging is read by no table after prestige; the table on (aging,
+    # marketing) does not fit the object
+    "wine-sections-count-object": (
+        "wine", "sections", "Wine", "--object", "{aging,complexity,prestige,range}",
+        "--count",
+    ),
     "wine-sections-empty-object": ("wine", "sections", "Wine", "--object", "{}"),
     "wine-sections-unknown-object": (
         "wine", "sections", "Wine", "--object", "price,bouquet"
@@ -1237,6 +1236,7 @@ CLI_CASES = {
     "organization-sections": ("organization", "sections", "Organization"),
     "organization-check": ("organization", "check", "--laws=closure,adjunction"),
     "organization-render-dot": ("organization", "render", "Organization", "dot"),
+    "wide-sections-count": ("wide", "--max-enum", "300000000000", "sections", "W", "--count"),
     "comma-sections": ("comma", "sections", "DigitalHub"),
     "comma-transfer": ("comma", "transfer", "AudioVideo", "IMovieHub"),
     "broken-check": ("broken", "check"),

@@ -1,8 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from presh import model as model_mod
+from presh.cli import main
+from presh.dsl import parse_model
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset
 from presh.model import (
@@ -13,6 +16,8 @@ from presh.model import (
     random_model,
 )
 from presh.presheaf import Assignment, Fiber, global_sections, validate_laws
+
+from util import record_builds
 
 
 def S(*names):
@@ -118,22 +123,15 @@ class TestObjectRows:
                 p.rows[key]
 
     def test_a_read_builds_from_the_longest_built_prefix(self, monkeypatch):
-        built = []
-        extend = model_mod._CompiledModel.extend
-
-        def recording_extend(self, prefix_rows, names):
-            built.append(names)
-            return extend(self, prefix_rows, names)
-
-        monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
+        built = record_builds(monkeypatch)
         p = compile_model(Model("m", [Fiber(f, ("x", "y")) for f in "abcd"]))
         p.rows[S("a", "c")]
         p.rows[S("a", "c", "d")]
         p.rows[S("a", "c")]
         p.rows[S("b")]
-        assert built == [("a",), ("a", "c"), ("a", "c", "d"), ("b",)]
+        assert _names(built) == [("a",), ("a", "c"), ("a", "c", "d"), ("b",)]
         assert len(p.rows[S("a", "b", "c", "d")]) == 16
-        assert built[4:] == [("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
+        assert _names(built[4:]) == [("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
         # a full shortlex read extends each non-empty object once, in order
         for seed in range(10):
             built.clear()
@@ -141,7 +139,7 @@ class TestObjectRows:
             objects = p.family.objects_sorted
             assert all(u in p.rows for u in objects) and built == []
             assert validate_laws(p).passed
-            assert built == [u.names for u in objects[1:]]
+            assert _names(built) == [u.names for u in objects[1:]]
 
     def test_equal_to_the_same_rows_read_in_any_order(self):
         for seed in range(20):
@@ -154,6 +152,90 @@ class TestObjectRows:
             assert p == compile_model(m)
             top = p.family.universe
             assert p.rows != {**backwards, top: backwards[top] + (("zz",) * len(top),)}
+
+
+def _names(built) -> list[tuple[str, ...]]:
+    return [names for _, names in built]
+
+
+class TestCount:
+    """``rows.count``: the number of rows at an object, tallied along its
+    prefix chain rather than read off its built rows."""
+
+    def test_equal_to_the_oracle_cold_and_built(self):
+        for seed in range(300):
+            m = random_model(seed)
+            objects = compile_model(m).family.objects_sorted
+            built = compile_model(m)
+            for u in objects:
+                expected = len(oracle_sections(m, u))
+                assert compile_model(m).rows.count(u) == expected, (seed, u)
+                built.rows[u]
+                assert built.rows.count(u) == expected, (seed, u)
+
+    def test_the_empty_object_counts_one_and_an_unsatisfiable_one_zero(self):
+        m = Model(
+            "m",
+            [Fiber("a", ("x", "y")), Fiber("b", ("x", "y")), Fiber("c", ("x", "y"))],
+            [
+                ConstraintTable(S("a", "b"), "allow", [("x", "x"), ("y", "y")]),
+                ConstraintTable(S("b", "c"), "allow", [("x", "y")]),
+                ConstraintTable(S("a", "c"), "forbid", [("x", "y")]),
+            ],
+        )
+        p = compile_model(m)
+        assert p.rows.count(S()) == 1
+        universe = S("a", "b", "c")
+        assert p.rows.count(universe) == 0 == len(oracle_sections(m, universe))
+
+    def test_outside_the_family_is_a_key_error(self, org):
+        p = compile_model(org)
+        for key in (S("zz"), S("size", "zz")):
+            with pytest.raises(KeyError):
+                p.rows.count(key)
+
+
+WIDE_CHAIN = Path(__file__).parent / "fixtures" / "wide_chain.psh"
+
+
+def _walks(features: int, values: int) -> int:
+    """Value sequences over ``features`` positions whose neighbours differ
+    by at most one, by a vector-matrix product per position."""
+    step = [[int(abs(i - j) <= 1) for j in range(values)] for i in range(values)]
+    ends = [1] * values
+    for _ in range(features - 1):
+        ends = [sum(ends[i] * step[i][j] for i in range(values)) for j in range(values)]
+    return sum(ends)
+
+
+class TestWideChain:
+    """A 12-feature allow-chain of 8 values, whose universe holds 807,574
+    sections: its count builds no object wider than a table."""
+
+    def test_count_builds_no_object_wider_than_two(self, monkeypatch):
+        built = record_builds(monkeypatch)
+        tallies = []
+        admitted = model_mod._admitted
+
+        def recording_admitted(states, *args):
+            tallies.append(len(states))
+            return admitted(states, *args)
+
+        monkeypatch.setattr(model_mod, "_admitted", recording_admitted)
+        p = compile_model(parse_model(WIDE_CHAIN.read_text()))
+        p.rows.count(p.family.universe)
+        assert _names(built) == [("x00",), ("x00", "x01")]
+        # the frontier is the one feature the next table reads
+        assert tallies == [8] * 10
+
+    def test_printed_count_is_the_walk_count(self, capsys):
+        code = main(
+            ["--workspace", str(WIDE_CHAIN), "--max-enum", str(9**12), "sections", "W",
+             "--count"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert int(out.rsplit(": ", 1)[1]) == _walks(12, 8) == 807574
 
 
 class TestOracle:

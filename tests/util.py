@@ -7,6 +7,7 @@ import random
 from itertools import combinations, product
 from typing import NamedTuple
 
+from presh import model as model_mod
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import ADJUNCTION_SWEEP_BOUND, Subset
 from presh.model import Model, random_model
@@ -22,6 +23,19 @@ from presh.presheaf import (
     row_projection,
 )
 from presh.report import LawReport, Violation
+
+
+def record_builds(monkeypatch) -> list:
+    """Every object built from here on, as (compiled model, feature names)."""
+    built = []
+    extend = model_mod._CompiledModel.extend
+
+    def recording_extend(self, prefix_rows, names):
+        built.append((self, names))
+        return extend(self, prefix_rows, names)
+
+    monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
+    return built
 
 
 def saturation_close(universe: Subset, seeds) -> frozenset[Subset]:
