@@ -6,6 +6,12 @@ builds an object's rows, the first time the object is read, from its prefix
 object's rows with one call here.  Only the tables whose last scope feature
 is ``fk`` need checking: every other table that fits in ``u`` lies inside
 the prefix object and already holds there.
+
+The same call serves both readers of a compiled model: the one that builds
+an object's rows, and the one that counts them
+(:meth:`presh.model._ObjectRows.count`), which runs its later steps over a
+tally's states, value tuples of the features that later tables still read,
+in place of whole prefix rows.
 """
 
 from __future__ import annotations

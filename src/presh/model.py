@@ -13,8 +13,9 @@ last feature), checking only the tables that end in that feature (the loop
 lives in :mod:`presh.kernel`).  A caller that reads one object pays for its
 prefix chain, and one that reads every object builds each once.  A caller
 that counts one object's rows (:meth:`_ObjectRows.count`) builds that chain
-only until a placed feature drops out of every later table's scope, and
-tallies the rest by the values that later tables still read.
+only until a placed feature drops out of every later table's scope.  It
+runs the remaining steps through the same kernel and the same checks, over
+a tally of the values that later tables still read.
 
 Two independent evaluation paths exist on purpose: :func:`oracle_sections`
 filters the naive full product per object with plain set membership and
@@ -28,12 +29,12 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import product
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import kernel
 from .errors import EnumerationBoundError, MalformedInputError
 from .lattice import CoverFamily, Subset, check_name, close_family
-from .presheaf import Assignment, AssignmentPresheaf, Fiber
+from .presheaf import Assignment, AssignmentPresheaf, Fiber, _projection
 from .report import Frozen
 
 #: Refusal bound for the oracle's full product at a single object, read by
@@ -251,15 +252,23 @@ class _CompiledModel:
             else:
                 self.base[last] = admitted.get((), default)
 
+    def checks(
+        self, f: str, held: Iterable[str], at: tuple[str, ...]
+    ) -> list[kernel.Check]:
+        """The kernel checks of the wider tables placed with ``f`` whose other
+        scope features ``held`` holds, keyed on positions in the row names
+        ``at``."""
+        index = at.index
+        return [
+            (itemgetter(*map(index, rest)), admitted, default)
+            for fits, rest, admitted, default in self.by_last[f]
+            if fits(held)
+        ]
+
     def extend(self, prefix_rows: list[tuple], names: tuple[str, ...]) -> list[tuple]:
         """The rows at the object ``names``, from the rows at ``names[:-1]``."""
         last = names[-1]
-        index = names.index
-        checks = [
-            (itemgetter(*map(index, rest)), admitted, default)
-            for fits, rest, admitted, default in self.by_last[last]
-            if fits(names)
-        ]
+        checks = self.checks(last, names, names)
         return kernel.enumerate_assignments(prefix_rows, self.base[last], checks)
 
 
@@ -270,12 +279,13 @@ class _ObjectRows(Mapping):
     feature) first where that is not built yet, then the object itself in
     one :meth:`_CompiledModel.extend` step, and keeps every object on the
     way, so a reader pays only for the prefix chains it touches, and
-    :meth:`count` only for the start of one.  Iteration and ``len`` cover
-    every object of the family in shortlex order, and membership builds
-    nothing.  ``items``, ``values`` and ``==`` read the objects in that
-    order, where each object's prefix object comes earlier, so every read is
-    one step from an object already built.  ``get`` gives ``default`` and
-    ``[]`` raises ``KeyError`` for anything that is not a family object.
+    :meth:`count` only for the start of one, whose later steps it runs over
+    a tally.  Iteration and ``len`` cover every object of the family in
+    shortlex order, and membership builds nothing.  ``items``, ``values``
+    and ``==`` read the objects in that order, where each object's prefix
+    object comes earlier, so every read is one step from an object already
+    built.  ``get`` gives ``default`` and ``[]`` raises ``KeyError`` for
+    anything that is not a family object.
     """
 
     def __init__(self, family: CoverFamily, enc: _CompiledModel):
@@ -319,11 +329,13 @@ class _ObjectRows(Mapping):
         to the first step after which some placed feature is read by no
         later table that fits ``u``.  From there it keeps a tally: for each
         distinct value tuple of the features that later tables still read
-        (the frontier), the number of rows that agree with it.  The last
-        step is counted without making its rows.  This is bucket
-        elimination over (ℕ, +, ×) (Dechter, *AI* 1999) along the build
-        order.  A tally never holds more entries than the rows at the same
-        prefix.
+        (the frontier), the number of rows that agree with it.  Each later
+        step, the last one included, runs the kernel over the tally's
+        states with :meth:`_CompiledModel.checks`; every row it makes is a
+        state plus one value, so the row's multiplicity is the state's.
+        This is bucket elimination over (ℕ, +, ×) (Dechter, *AI* 1999)
+        along the build order.  A tally never holds more entries than the
+        rows at the same prefix.
         """
         if u not in self._family:
             raise KeyError(u)
@@ -331,49 +343,46 @@ class _ObjectRows(Mapping):
         rows = self._built.get(names)
         if rows is not None:
             return len(rows)
-        # one pass over the tables that fit u: each step's tables, and for
-        # each feature the last step whose tables read it
+        # for each feature, the last step whose fitting tables read it
+        enc = self._enc
         held = frozenset(names)
         drop = {}
-        steps = []
         for i, f in enumerate(names):
             drop[f] = i
-            fitting = []
-            for table in self._enc.by_last[f]:
-                if table[0](held):
-                    fitting.append(table)
-                    for g in table[1]:
+            for fits, rest, _, _ in enc.by_last[f]:
+                if fits(held):
+                    for g in rest:
                         drop[g] = i
-            steps.append(fitting)
         # rows are built up to the first step after which a placed feature
-        # is read no more; the last step is counted in any case
+        # is read no more; the last step is run over them in any case
         last = len(names) - 1
         start = min(min(drop.values()) + 1, last)
         placed = names[:start]
         states = self._built.get(placed)
         if states is None:
             states = self._build(placed)
-        base = self._enc.base
         if start == last:
-            return sum(map(len, _admitted(states, placed, base[names[last]], steps[last])))
+            return len(enc.extend(states, names))
         # the distinct values at the frontier of the rows built, each with
         # the number of rows that agree with it
         frontier = tuple(f for f in placed if drop[f] >= start)
-        tally = Counter(map(_picker(placed, frontier), states))
-        for j in range(start, last):
-            states = list(tally)
-            admitted = _admitted(states, frontier, base[names[j]], steps[j])
-            placed = frontier + (names[j],)
-            frontier = tuple(f for f in placed if drop[f] > j)
-            pick = _picker(placed, frontier)
+        tally = Counter(map(_projection(tuple(map(placed.index, frontier))), states))
+        for j in range(start, last + 1):
+            f = names[j]
+            at = frontier + (f,)
+            rows = kernel.enumerate_assignments(
+                list(tally), enc.base[f], enc.checks(f, held, at)
+            )
+            # a row's multiplicity is its prefix row's
+            if j == last:
+                return sum(tally[row[:-1]] for row in rows)
+            frontier = tuple(g for g in at if drop[g] > j)
+            pick = _projection(tuple(map(at.index, frontier)))
             counts: dict[tuple, int] = {}
-            for state, n, vals in zip(states, tally.values(), admitted):
-                for v in vals:
-                    key = pick(state + (v,))
-                    counts[key] = counts.get(key, 0) + n
+            for row in rows:
+                key = pick(row)
+                counts[key] = counts.get(key, 0) + tally[row[:-1]]
             tally = counts
-        sizes = map(len, _admitted(list(tally), frontier, base[names[last]], steps[last]))
-        return sum(map(mul, tally.values(), sizes))
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self._family.objects_sorted)
@@ -383,38 +392,6 @@ class _ObjectRows(Mapping):
 
     def __contains__(self, u: object) -> bool:
         return u in self._family
-
-
-def _picker(names: tuple[str, ...], keep: tuple[str, ...]):
-    """A function from a row over ``names`` to its values at ``keep``."""
-    positions = tuple(map(names.index, keep))
-    if len(positions) == 1:
-        (p,) = positions
-        return lambda row: (row[p],)
-    return itemgetter(*positions) if positions else lambda row: ()
-
-
-def _admitted(states: Sequence[tuple], names: tuple[str, ...], values, tables) -> list:
-    """For each state (a value tuple over ``names``), the ``values`` of the
-    next feature that every one of ``tables`` (entries of
-    ``_CompiledModel.by_last``) admits after it, filtered as the kernel
-    filters."""
-    if not tables:
-        return [values] * len(states)
-    index = names.index
-    (key, admitted, default), *rest = [
-        (itemgetter(*map(index, scope)), admitted, default)
-        for _, scope, admitted, default in tables
-    ]
-    out = []
-    append = out.append
-    for state in states:
-        vals = admitted.get(key(state), default)
-        for other_key, other, other_default in rest:
-            allowed = other.get(other_key(state), other_default)
-            vals = [v for v in vals if v in allowed]
-        append(vals)
-    return out
 
 
 def compile_model(model: Model) -> AssignmentPresheaf:

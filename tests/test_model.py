@@ -17,7 +17,7 @@ from presh.model import (
 )
 from presh.presheaf import Assignment, Fiber, global_sections, validate_laws
 
-from util import record_builds
+from util import record_builds, record_kernel
 
 
 def S(*names):
@@ -173,6 +173,25 @@ class TestCount:
                 built.rows[u]
                 assert built.rows.count(u) == expected, (seed, u)
 
+    def test_equal_to_the_rows_on_wider_models(self):
+        # up to 6 tables over 8 features: many objects drop a feature before
+        # their last step, and some later steps check two tables or more
+        objects = tallied = checked_twice = 0
+        for seed in range(200):
+            m = random_model(seed, max_features=8, max_fiber=3, max_tables=6)
+            built = compile_model(m)
+            for u in built.family.objects_sorted:
+                expected = len(built.rows[u])
+                assert compile_model(m).rows.count(u) == expected, (seed, u)
+                objects += 1
+                later = _later_steps(m, u.names)
+                if later is not None:
+                    tallied += 1
+                    checked_twice += max(later) >= 2
+        assert objects == 13134
+        assert tallied >= 4600
+        assert checked_twice >= 130
+
     def test_the_empty_object_counts_one_and_an_unsatisfiable_one_zero(self):
         m = Model(
             "m",
@@ -195,6 +214,28 @@ class TestCount:
                 p.rows.count(key)
 
 
+def _later_steps(m: Model, names: tuple[str, ...]) -> list[int] | None:
+    """For an object whose count keeps a tally, the number of tables of two
+    or more features checked at each step from the first tally step to the
+    last; ``None`` for an object whose count needs no tally."""
+    fitting = [
+        [t.scope.names for t in m.tables
+         if len(t.scope) > 1 and t.scope.names[-1] == f and set(t.scope) <= set(names)]
+        for f in names
+    ]
+    # the last step at which each feature is placed or read
+    read_until = {}
+    for i, f in enumerate(names):
+        read_until[f] = i
+        for scope in fitting[i]:
+            read_until.update(dict.fromkeys(scope, i))
+    last = len(names) - 1
+    start = min(read_until.values(), default=last) + 1
+    if start >= last:
+        return None
+    return [len(fitting[j]) for j in range(start, last + 1)]
+
+
 WIDE_CHAIN = Path(__file__).parent / "fixtures" / "wide_chain.psh"
 
 
@@ -214,19 +255,13 @@ class TestWideChain:
 
     def test_count_builds_no_object_wider_than_two(self, monkeypatch):
         built = record_builds(monkeypatch)
-        tallies = []
-        admitted = model_mod._admitted
-
-        def recording_admitted(states, *args):
-            tallies.append(len(states))
-            return admitted(states, *args)
-
-        monkeypatch.setattr(model_mod, "_admitted", recording_admitted)
+        calls = record_kernel(monkeypatch)
         p = compile_model(parse_model(WIDE_CHAIN.read_text()))
         p.rows.count(p.family.universe)
         assert _names(built) == [("x00",), ("x00", "x01")]
-        # the frontier is the one feature the next table reads
-        assert tallies == [8] * 10
+        # the frontier is the one feature the next table reads: each later
+        # step runs over 8 states with that table's one check
+        assert calls[len(built):] == [(8, 1)] * 10
 
     def test_printed_count_is_the_walk_count(self, capsys):
         code = main(

@@ -7,6 +7,7 @@ import random
 from itertools import combinations, product
 from typing import NamedTuple
 
+from presh import kernel
 from presh import model as model_mod
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import ADJUNCTION_SWEEP_BOUND, Subset
@@ -36,6 +37,20 @@ def record_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
     return built
+
+
+def record_kernel(monkeypatch) -> list:
+    """Every kernel call from here on, as (number of prefix rows, number of
+    checks)."""
+    calls = []
+    enumerate_assignments = kernel.enumerate_assignments
+
+    def recording_enumerate(prefix_rows, values, checks=()):
+        calls.append((len(prefix_rows), len(checks)))
+        return enumerate_assignments(prefix_rows, values, checks)
+
+    monkeypatch.setattr(kernel, "enumerate_assignments", recording_enumerate)
+    return calls
 
 
 def saturation_close(universe: Subset, seeds) -> frozenset[Subset]:
