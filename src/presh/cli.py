@@ -46,6 +46,8 @@ from .presheaf import (
     _require_local_section,
     _token,
     _yoneda_report,
+    # no command calls it (extend reads ``_ObjectRows.blocking``), but
+    # e2ebench/spans.py hooks the name here
     blocking_sets,
     extensions,
     random_abstract_presheaf,
@@ -378,8 +380,10 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     ``a``'s values, so the kernel enumerates no row that disagrees with
     ``a``.  The extensions to the target are those of the empty section to
     ``target ∖ D``, with ``a``'s values put back; each blocking scope is
-    ``D ∪ z`` for a blocking scope ``z`` of the empty section.  Adding ``D``
-    keeps the canonical row order and the shortlex scope order.
+    ``D ∪ z`` for an inclusion-minimal object ``z`` with no rows, found by
+    :meth:`presh.model._ObjectRows.blocking`, which reads only the objects
+    that decide them, as the conditioned presheaf is compiled and so closed.
+    Adding ``D`` keeps the canonical row order and the shortlex scope order.
     """
     model = ex.artifact(args.model)
     # refuses on the whole model's estimate, before any object is read
@@ -405,7 +409,7 @@ def cmd_extend(ex: Execution, args, out: _Out) -> int:
     out.text(f"extensions of {a} to {target}: {len(exts)}")
     out.rows("extensions", target.names, exts)
     if not exts:
-        blocks = [d.union(z) for z in blocking_sets(c, empty)]
+        blocks = [d.union(z) for z in c.rows.blocking()]
         out.payload["blocking"] = [list(w.names) for w in blocks]
         out.text("no extension; blocking scopes:")
         for w in blocks:

@@ -7,11 +7,13 @@ object's rows with one call here.  Only the tables whose last scope feature
 is ``fk`` need checking: every other table that fits in ``u`` lies inside
 the prefix object and already holds there.
 
-The same call serves both readers of a compiled model: the one that builds
-an object's rows, and the one that counts them
+The same call serves the three readers of a compiled model: the one that
+builds an object's rows, the one that counts them
 (:meth:`presh.model._ObjectRows.count`), which runs its later steps over a
 tally's states, value tuples of the features that later tables still read,
-in place of whole prefix rows.
+in place of whole prefix rows, and the one that finds the minimal objects
+with no rows (:meth:`presh.model._ObjectRows.blocking`), which builds only
+the objects it reads.
 """
 
 from __future__ import annotations

@@ -15,7 +15,11 @@ prefix chain, and one that reads every object builds each once.  A caller
 that counts one object's rows (:meth:`_ObjectRows.count`) builds that chain
 only until a placed feature drops out of every later table's scope.  It
 runs the remaining steps through the same kernel and the same checks, over
-a tally of the values that later tables still read.
+a tally of the values that later tables still read.  A caller that wants
+the inclusion-minimal objects with no rows (:meth:`_ObjectRows.blocking`)
+reads only the objects that decide them: closure makes emptiness hold
+upwards and rows hold downwards, so an object above one found empty, or
+below one found with rows, is never read.
 
 Two independent evaluation paths exist on purpose: :func:`oracle_sections`
 filters the naive full product per object with plain set membership and
@@ -33,7 +37,14 @@ from operator import itemgetter
 
 from . import kernel
 from .errors import EnumerationBoundError, MalformedInputError
-from .lattice import CoverFamily, Subset, check_name, close_family
+from .lattice import (
+    CoverFamily,
+    Subset,
+    _shortlex_masks,
+    _subset_of_mask,
+    check_name,
+    close_family,
+)
 from .presheaf import Assignment, AssignmentPresheaf, Fiber, _projection
 from .report import Frozen
 
@@ -383,6 +394,51 @@ class _ObjectRows(Mapping):
                 key = pick(row)
                 counts[key] = counts.get(key, 0) + tally[row[:-1]]
             tally = counts
+
+    def blocking(self) -> tuple[Subset, ...]:
+        """The inclusion-minimal family objects with no rows, in shortlex order.
+
+        The objects are walked by size as int masks over the universe's
+        names (bit i for the i-th name), and an object is read only when it
+        neither contains a scope already found empty nor lies inside an
+        object already read with rows.  That is sound because a compiled
+        presheaf is closed: every table that fits an object fits each object
+        above it, so an object with rows has rows at each object below it,
+        and an empty object is empty at each object above it.  An object read
+        with rows is grown to a maximal object with rows by trying each other
+        feature in name order, skipping a candidate that contains a scope
+        already found empty; every object below the grown one is then
+        skipped (the dualization of Gunopulos et al., *ACM TODS* 28(2),
+        2003).  An object read empty is minimal: each object below it comes
+        earlier and was read or skipped with rows.  Reads go through
+        :meth:`get`, so each object is built at most once.  Skipping the
+        objects below one with rows is sound only on a closed presheaf;
+        :func:`presh.presheaf.blocking_sets` skips only those above a scope
+        found, and so is right on any presheaf.
+        """
+        names = self._family.universe.names
+
+        def has_rows(mask: int) -> bool:
+            return bool(self.get(_subset_of_mask(names, mask)))
+
+        bits = tuple(1 << i for i in range(len(names)))
+        # the masks found empty, and the complements of those grown with rows
+        empty: list[int] = []
+        outside: list[int] = []
+        for mask in _shortlex_masks(bits):
+            # ``~mask & e`` is 0 when e lies in mask, ``mask & o`` when mask
+            # lies in the object whose complement is o
+            if not all(map((~mask).__and__, empty)) or not all(map(mask.__and__, outside)):
+                continue
+            if not has_rows(mask):
+                empty.append(mask)
+                continue
+            for bit in bits:
+                grown = mask | bit
+                if grown != mask and all(map((~grown).__and__, empty)) and has_rows(grown):
+                    mask = grown
+            outside.append(~mask)
+        return tuple(_subset_of_mask(names, e) for e in empty)
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self._family.objects_sorted)

@@ -558,17 +558,24 @@ def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
     Empty result means the section extends to every superset object; each
     returned object names a scope whose constraints rule the section out.
     The supersets are walked once, by size (``CoverFamily.supersets``), and
-    one that contains a scope already found blocking is skipped without
-    reading its rows.  Every object below a superset comes before it, so
-    what is left blocked is minimal, whether or not ``p`` is closed.  Each
-    object read is narrowed as in ``extensions``, so a row too short for a
-    pinned feature raises ``MalformedInputError`` here as it does there.
+    one that contains a scope already found blocking (tested against one
+    frozenset of its names) is skipped without reading its rows.  Every
+    object below a superset comes before it, so what is left blocked is
+    minimal, whether or not ``p`` is closed.  Each object read is narrowed
+    as in ``extensions``, so a row too short for a pinned feature raises
+    ``MalformedInputError`` here as it does there.  A compiled presheaf is
+    closed, and :meth:`presh.model._ObjectRows.blocking` finds the empty
+    section's scopes there from fewer objects.
     """
     _require_local_section(p, a)
     blocked: list[Subset] = []
+    scopes: list[tuple[str, ...]] = []
     for w in p.family.supersets(a.domain):
-        if not any(b.issubset(w) for b in blocked) and not _extending_rows(p, a, w):
+        if scopes and any(map(frozenset(w.names).issuperset, scopes)):
+            continue
+        if not _extending_rows(p, a, w):
             blocked.append(w)
+            scopes.append(w.names)
     return tuple(blocked)
 
 

@@ -15,9 +15,16 @@ from presh.model import (
     oracle_sections,
     random_model,
 )
-from presh.presheaf import Assignment, Fiber, global_sections, validate_laws
+from presh.ops import condition
+from presh.presheaf import (
+    Assignment,
+    Fiber,
+    blocking_sets,
+    global_sections,
+    validate_laws,
+)
 
-from util import record_builds, record_kernel
+from util import record_builds, record_kernel, reference_blocking_sets
 
 
 def S(*names):
@@ -234,6 +241,67 @@ def _later_steps(m: Model, names: tuple[str, ...]) -> list[int] | None:
     if start >= last:
         return None
     return [len(fitting[j]) for j in range(start, last + 1)]
+
+
+class TestBlocking:
+    """``rows.blocking``: the inclusion-minimal objects with no rows, read
+    off a compiled presheaf's closure."""
+
+    EMPTY = Assignment(S(), ())
+
+    def test_equal_to_blocking_sets_and_the_reference(self):
+        # the seeds and limits of TestCondition: each compiled model, and the
+        # model conditioned on each local section at one or two features
+        conditioned = 0
+        for seed in range(40):
+            m = random_model(seed, max_features=5)
+            p = compile_model(m)
+            want = reference_blocking_sets(p, self.EMPTY)
+            assert compile_model(m).rows.blocking() == want, seed
+            assert blocking_sets(compile_model(m), self.EMPTY) == want, seed
+            for u in p.family.objects_sorted:
+                if not 1 <= len(u) <= 2:
+                    continue
+                for a in p.sections_at(u):
+                    c = condition(m, a)
+                    got = compile_model(c).rows.blocking()
+                    assert got == blocking_sets(compile_model(c), self.EMPTY), (seed, a)
+                    want = reference_blocking_sets(p, a)
+                    assert tuple(u.union(z) for z in got) == want, (seed, a)
+                    conditioned += bool(want)
+        assert conditioned
+
+    def test_equal_on_wider_models_read_cold_and_built(self):
+        blocked = 0
+        for seed in range(200):
+            m = random_model(seed, max_features=8, max_fiber=3, max_tables=6)
+            want = blocking_sets(compile_model(m), self.EMPTY)
+            assert compile_model(m).rows.blocking() == want, seed
+            built = compile_model(m)
+            dict(built.rows)
+            assert built.rows.blocking() == want, seed
+            blocked += bool(want)
+        assert blocked
+
+    def test_reads_only_the_objects_that_decide_the_scopes(self):
+        # six free features a..f and a feature z that an allow table with no
+        # rows empties.  The walk reads the empty object, which has rows, and
+        # grows it in name order: {a}, {a,b}, .., {a..f} have rows, each one
+        # step from the last, and {a..f,z} has none, so {a..f} is kept.
+        # Every object of size one but {z} lies inside it; {z} is read and
+        # found empty.  Every larger object holds z or lies inside {a..f}.
+        # That is 9 objects: the empty one, six on the chain, the universe
+        # and {z}.  blocking_sets reads every one of the 64 objects without
+        # z, each with rows, and then {z}: 65.
+        fibers = [Fiber(f, ("x", "y")) for f in "abcdefz"]
+        m = Model("m", fibers, [ConstraintTable(S("z"), "allow", [])])
+        p = compile_model(m)
+        assert p.rows.blocking() == (S("z"),)
+        chain = ["abcdef"[:k] for k in range(7)]
+        assert sorted(map("".join, p.rows._built)) == sorted(chain + ["abcdefz", "z"])
+        q = compile_model(m)
+        assert blocking_sets(q, self.EMPTY) == (S("z"),)
+        assert len(q.rows._built) == 65
 
 
 WIDE_CHAIN = Path(__file__).parent / "fixtures" / "wide_chain.psh"
