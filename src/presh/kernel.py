@@ -1,19 +1,9 @@
-"""The enumeration kernel: extend the sections of a prefix object by one fiber.
+"""The enumeration kernel: extend rows by one feature under table checks.
 
-Every section at ``u = (f1..fk)`` restricts to a section at its prefix object
-``(f1..f(k-1))``, so a presheaf from :func:`presh.model.compile_model`
-builds an object's rows, the first time the object is read, from its prefix
-object's rows with one call here.  Only the tables whose last scope feature
-is ``fk`` need checking: every other table that fits in ``u`` lies inside
-the prefix object and already holds there.
-
-The same call serves the three readers of a compiled model: the one that
-builds an object's rows, the one that counts them
-(:meth:`presh.model._ObjectRows.count`), which runs its later steps over a
-tally's states, value tuples of the features that later tables still read,
-in place of whole prefix rows, and the one that finds the minimal objects
-with no rows (:meth:`presh.model._ObjectRows.blocking`), which builds only
-the objects it reads.
+:func:`enumerate_assignments` appends each admitted value of a new feature
+to each given row, where each check reads some positions of the row and
+lists the values it admits there.  Its callers in :mod:`presh.model` decide
+which rows and which checks it is given.
 """
 
 from __future__ import annotations

@@ -7,19 +7,9 @@ the cover family are the assignments that satisfy every table whose scope
 fits inside the object.  Restriction closure holds by construction: any
 table applicable at a smaller object is applicable at every larger one.
 
-Compilation checks the bounds and encodes the tables up front; each object
-is enumerated on first read, from its prefix object (the object minus its
-last feature), checking only the tables that end in that feature (the loop
-lives in :mod:`presh.kernel`).  A caller that reads one object pays for its
-prefix chain, and one that reads every object builds each once.  A caller
-that counts one object's rows (:meth:`_ObjectRows.count`) builds that chain
-only until a placed feature drops out of every later table's scope.  It
-runs the remaining steps through the same kernel and the same checks, over
-a tally of the values that later tables still read.  A caller that wants
-the inclusion-minimal objects with no rows (:meth:`_ObjectRows.blocking`)
-reads only the objects that decide them: closure makes emptiness hold
-upwards and rows hold downwards, so an object above one found empty, or
-below one found with rows, is never read.
+Compilation checks the bounds and encodes the tables up front, and builds
+each object on first read (:class:`_ObjectRows`, which states the build
+order, over the loop in :mod:`presh.kernel`).
 
 Two independent evaluation paths exist on purpose: :func:`oracle_sections`
 filters the naive full product per object with plain set membership and
@@ -165,12 +155,15 @@ class Model(Frozen):
             raise MalformedInputError(
                 f"labels must be a mapping, not {type(labels).__name__}"
             )
-        for key in labels:
+        for key, text in labels.items():
             f, dot, v = key.partition(".")
             if f not in seen or (dot and v not in seen[f]):
                 raise MalformedInputError(
                     f"label {key!r} names no feature or feature value"
                 )
+            # a label is written on its own line, and parsed back from it
+            if not isinstance(text, str) or "".join(text.splitlines()) != text:
+                raise MalformedInputError(f"label {key!r} is not one line of text")
         self._set(name, seen, tables, dict(labels))
 
     @classmethod
@@ -226,18 +219,37 @@ def require_scope_bound(scope: Subset, fibers: Mapping[str, Fiber], what: str) -
         )
 
 
-class _CompiledModel:
-    """Per-model encoding of the tables, indexed by their last scope feature.
+class _ObjectRows(Mapping):
+    """The rows of a compiled model at each family object, built on first read.
 
+    Construction encodes the tables, indexed by their last scope feature, and
+    checks each table's ``TABLE_MASK_BOUND`` before any object is read.
     ``base[f]`` is the fiber of ``f`` cut down by the one-feature tables on
     it.  ``by_last[f]`` holds, for each wider table whose last scope feature
     is ``f``, a test of whether an object's names hold the table's other
     scope features, those features, and a map from their values (a bare
     value for one feature, a tuple for several, as ``itemgetter`` reads them)
     to the admitted values of ``f``, in ``base[f]`` order.
+
+    The build order: an object is built from its prefix object (the object
+    minus its last feature) in one :meth:`extend` step, which checks only
+    the tables in ``by_last`` of that feature; every other table that fits
+    the object fits the prefix object and holds there already.  Reading an
+    object builds its prefix chain where it is not built yet and keeps
+    every object on the way, so a reader pays only for the prefix chains it
+    touches, :meth:`count` only for the start of one, and :meth:`blocking`
+    only for the objects it reads.  Iteration and ``len`` cover every object
+    of the family in shortlex order, and membership builds nothing.
+    ``items``, ``values`` and ``==`` read the objects in that order, where
+    each object's prefix object comes earlier, so every read is one step
+    from an object already built.  ``get`` gives ``default`` and ``[]``
+    raises ``KeyError`` for anything that is not a family object.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, family: CoverFamily, model: Model):
+        self._family = family
+        # keyed by feature names: a tuple hashes in C, a ``Subset`` does not
+        self._built: dict[tuple[str, ...], tuple[tuple, ...]] = {(): ((),)}
         fibers = model.fibers
         self.base = {f: fib.values for f, fib in fibers.items()}
         self.by_last: dict[str, list] = {f: [] for f in fibers}
@@ -282,29 +294,6 @@ class _CompiledModel:
         checks = self.checks(last, names, names)
         return kernel.enumerate_assignments(prefix_rows, self.base[last], checks)
 
-
-class _ObjectRows(Mapping):
-    """The rows of a compiled model at each family object, built on first read.
-
-    Reading an object builds its prefix object (the object minus its last
-    feature) first where that is not built yet, then the object itself in
-    one :meth:`_CompiledModel.extend` step, and keeps every object on the
-    way, so a reader pays only for the prefix chains it touches, and
-    :meth:`count` only for the start of one, whose later steps it runs over
-    a tally.  Iteration and ``len`` cover every object of the family in
-    shortlex order, and membership builds nothing.  ``items``, ``values``
-    and ``==`` read the objects in that order, where each object's prefix
-    object comes earlier, so every read is one step from an object already
-    built.  ``get`` gives ``default`` and ``[]`` raises ``KeyError`` for
-    anything that is not a family object.
-    """
-
-    def __init__(self, family: CoverFamily, enc: _CompiledModel):
-        self._family = family
-        self._enc = enc
-        # keyed by feature names: a tuple hashes in C, a ``Subset`` does not
-        self._built: dict[tuple[str, ...], tuple[tuple, ...]] = {(): ((),)}
-
     def __getitem__(self, u: Subset) -> tuple[tuple, ...]:
         # a built object is a family object; any other read goes through
         # ``get``, the one place that decides what a family object is
@@ -319,34 +308,32 @@ class _ObjectRows(Mapping):
         return rows
 
     def get(self, u: Subset, default=None):
-        if u not in self._family:
-            return default
-        rows = self._built.get(u.names)
-        return self._build(u.names) if rows is None else rows
+        return self._rows(u.names) if u in self._family else default
 
-    def _build(self, names: tuple[str, ...]) -> tuple[tuple, ...]:
-        prefix = names[:-1]
-        rows = self._built.get(prefix)
+    def _rows(self, names: tuple[str, ...]) -> tuple[tuple, ...]:
+        """The rows at the object ``names``, built from its prefix object's
+        unless built already."""
+        rows = self._built.get(names)
         if rows is None:
-            rows = self._build(prefix)
-        rows = self._built[names] = tuple(self._enc.extend(rows, names))
+            prefix_rows = self._rows(names[:-1])
+            rows = self._built[names] = tuple(self.extend(prefix_rows, names))
         return rows
 
     def count(self, u: Subset) -> int:
         """The number of rows at the family object ``u``.
 
         A built object answers with its length.  Otherwise the count walks
-        ``u``'s prefix chain as :meth:`_build` does, but builds rows only up
-        to the first step after which some placed feature is read by no
-        later table that fits ``u``.  From there it keeps a tally: for each
+        ``u``'s prefix chain in the build order, but builds rows only up to
+        the first step after which some placed feature is read by no later
+        table that fits ``u``.  From there it keeps a tally: for each
         distinct value tuple of the features that later tables still read
         (the frontier), the number of rows that agree with it.  Each later
         step, the last one included, runs the kernel over the tally's
-        states with :meth:`_CompiledModel.checks`; every row it makes is a
-        state plus one value, so the row's multiplicity is the state's.
-        This is bucket elimination over (ℕ, +, ×) (Dechter, *AI* 1999)
-        along the build order.  A tally never holds more entries than the
-        rows at the same prefix.
+        states with :meth:`checks`; every row it makes is a state plus one
+        value, so the row's multiplicity is the state's.  This is bucket
+        elimination over (ℕ, +, ×) (Dechter, *AI* 1999) along the build
+        order.  A tally never holds more entries than the rows at the same
+        prefix.
         """
         if u not in self._family:
             raise KeyError(u)
@@ -355,12 +342,11 @@ class _ObjectRows(Mapping):
         if rows is not None:
             return len(rows)
         # for each feature, the last step whose fitting tables read it
-        enc = self._enc
         held = frozenset(names)
         drop = {}
         for i, f in enumerate(names):
             drop[f] = i
-            for fits, rest, _, _ in enc.by_last[f]:
+            for fits, rest, _, _ in self.by_last[f]:
                 if fits(held):
                     for g in rest:
                         drop[g] = i
@@ -369,11 +355,9 @@ class _ObjectRows(Mapping):
         last = len(names) - 1
         start = min(min(drop.values()) + 1, last)
         placed = names[:start]
-        states = self._built.get(placed)
-        if states is None:
-            states = self._build(placed)
+        states = self._rows(placed)
         if start == last:
-            return len(enc.extend(states, names))
+            return len(self.extend(states, names))
         # the distinct values at the frontier of the rows built, each with
         # the number of rows that agree with it
         frontier = tuple(f for f in placed if drop[f] >= start)
@@ -382,7 +366,7 @@ class _ObjectRows(Mapping):
             f = names[j]
             at = frontier + (f,)
             rows = kernel.enumerate_assignments(
-                list(tally), enc.base[f], enc.checks(f, held, at)
+                list(tally), self.base[f], self.checks(f, held, at)
             )
             # a row's multiplicity is its prefix row's
             if j == last:
@@ -457,12 +441,10 @@ def compile_model(model: Model) -> AssignmentPresheaf:
     whose scope it contains; empty section sets are valid data, not errors.
     The bounds are checked here, before any object is read: the family's
     ``LATTICE_SIZE_BOUND`` and each table's ``TABLE_MASK_BOUND``.  The objects
-    themselves are built on first read, each from its prefix object (see
-    :class:`_ObjectRows`): the sections at one object cost its prefix chain,
-    and a reader of every object builds each of them once.
+    themselves are built on first read (see :class:`_ObjectRows`).
     """
     family = close_family(model.features)
-    rows = _ObjectRows(family, _CompiledModel(model))
+    rows = _ObjectRows(family, model)
     return AssignmentPresheaf(family, dict(model.fibers), rows)
 
 

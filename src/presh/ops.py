@@ -75,6 +75,9 @@ class FeatureIdentification(Frozen):
                 raise MalformedInputError(
                     f"identification {name!r} has an empty value map for {tgt!r}"
                 )
+            for tv, sv in vmap.items():
+                check_name(tv, "value")
+                check_name(sv, "value")
         super().__init__(name, feature_map, value_maps)
 
     def target_fibers(self) -> dict[str, Fiber]:

@@ -5,7 +5,7 @@ import pytest
 
 from presh import model as model_mod
 from presh.cli import main
-from presh.dsl import parse_model
+from presh.dsl import parse_model, serialize
 from presh.errors import EnumerationBoundError, MalformedInputError
 from presh.lattice import Subset
 from presh.model import (
@@ -385,9 +385,26 @@ class TestModelValue:
         ok = Model("m", fibers, (), {"a": "A", "a.x": "X"})
         assert ok.labels == {"a": "A", "a.x": "X"}
         # a stale call passing cover seeds fourth would land in ``labels``
-        for labels in ([S("a", "b")], [], {"z": "Z"}, {"a.y": "Y"}, {"a.": "?"}):
+        bad = ([S("a", "b")], [], {"z": "Z"}, {"a.y": "Y"}, {"a.": "?"}, {"a": 1})
+        for labels in bad:
             with pytest.raises(MalformedInputError):
                 Model("m", fibers, (), labels)
+
+    @pytest.mark.parametrize(
+        "brk",
+        ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+         "\u2028", "\u2029"],
+    )
+    def test_labels_hold_no_line_break(self, brk):
+        # every ``str.splitlines`` boundary, inside a label and at its end
+        assert "".join(f"x{brk}y".splitlines()) == "xy"
+        fibers = [Fiber("a", ("v",))]
+        for key, text in (("a", f"x{brk}y"), ("a.v", f"x{brk}")):
+            message = f"^label '{key}' is not one line of text$"
+            with pytest.raises(MalformedInputError, match=message):
+                Model("m", fibers, (), {key: text})
+        model = Model("m", fibers, (), {"a": "xy"})
+        assert parse_model(serialize(model)) == model
 
     def test_table_values_must_typecheck(self):
         with pytest.raises(MalformedInputError):

@@ -440,6 +440,14 @@ def test_cached_properties_survive_freezing():
             lambda: FeatureIdentification("h", {"a": "b c"}, {"a": {"x": "p"}}),
             "invalid feature name 'b c'",
         ),
+        (
+            lambda: FeatureIdentification("h", {"a": "b"}, {"a": {"u v": "w"}}),
+            "invalid value name 'u v'",
+        ),
+        (
+            lambda: FeatureIdentification("h", {"a": "b"}, {"a": {"u": "v w"}}),
+            "invalid value name 'v w'",
+        ),
     ],
 )
 def test_name_errors_say_which_kind_of_name_failed(make, message):

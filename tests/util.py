@@ -27,15 +27,16 @@ from presh.report import LawReport, Violation
 
 
 def record_builds(monkeypatch) -> list:
-    """Every object built from here on, as (compiled model, feature names)."""
+    """Every object built from here on, as (object rows of the compiled
+    model, feature names)."""
     built = []
-    extend = model_mod._CompiledModel.extend
+    extend = model_mod._ObjectRows.extend
 
     def recording_extend(self, prefix_rows, names):
         built.append((self, names))
         return extend(self, prefix_rows, names)
 
-    monkeypatch.setattr(model_mod._CompiledModel, "extend", recording_extend)
+    monkeypatch.setattr(model_mod._ObjectRows, "extend", recording_extend)
     return built
 
 
