@@ -146,30 +146,27 @@ class CoverFamily(Frozen):
             raise MalformedInputError(f"{obj} is not an object of the family")
         return obj
 
+    @cached_property
+    def _by_names(self) -> dict[tuple[str, ...], Subset]:
+        return {u.names: u for u in self.objects_sorted}
+
     def inclusions(self) -> Iterator[tuple[Subset, Subset]]:
-        """All ordered pairs (U, V) with U ⊆ V, canonically ordered."""
+        """All ordered pairs (U, V) with U ⊆ V, canonically ordered, as the
+        family's own objects."""
+        objects = self._by_names
         for v in self.objects_sorted:
-            for u in _shortlex(v.names):
-                yield (u, v)
+            for k in range(len(v.names) + 1):
+                for names in combinations(v.names, k):
+                    yield (objects[names], v)
 
     def covers(self) -> Iterator[tuple[Subset, Subset]]:
-        """Hasse edges (U, V): V minus one feature, each V's drops in shortlex order."""
+        """Hasse edges (U, V), as the family's own objects: V minus one
+        feature, each V's drops in shortlex order."""
+        objects = self._by_names
         for v in self.objects_sorted:
             names = v.names
             for i in range(len(names) - 1, -1, -1):
-                yield (Subset._trusted(names[:i] + names[i + 1 :]), v)
-
-    def supersets(self, obj: Subset) -> Iterator[Subset]:
-        """Every object containing ``obj``, in shortlex order, generated as
-        ``obj ∪ s`` for each subset ``s`` of the features outside ``obj``.
-
-        The subsets ``s`` come in shortlex order, and adding the same ``obj``
-        to each keeps that order, so smaller supersets come first and every
-        superset of a superset comes after it.
-        """
-        names = self.require(obj).names
-        for s in _shortlex(self.universe.difference(obj).names):
-            yield Subset._trusted(tuple(sorted(names + s.names)))
+                yield (objects[names[:i] + names[i + 1 :]], v)
 
 
 def close_family(universe: Subset) -> CoverFamily:

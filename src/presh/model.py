@@ -123,12 +123,10 @@ class Model(Frozen):
     ):
         check_name(name, "model")
         tables = tuple(tables)  # read twice below: checked, then canonicalized
-        if isinstance(fibers, Mapping):
-            fiber_list = list(fibers.values())
-        else:
-            fiber_list = list(fibers)
         seen: dict[str, Fiber] = {}
-        for fib in fiber_list:
+        for fib in fibers.values() if isinstance(fibers, Mapping) else fibers:
+            if not isinstance(fib, Fiber):
+                raise MalformedInputError(f"fiber {fib!r} is not a Fiber")
             if fib.feature in seen:
                 raise MalformedInputError(f"feature {fib.feature!r} declared twice")
             seen[fib.feature] = fib
@@ -156,6 +154,8 @@ class Model(Frozen):
                 f"labels must be a mapping, not {type(labels).__name__}"
             )
         for key, text in labels.items():
+            if not isinstance(key, str):
+                raise MalformedInputError(f"label key {key!r} is not a str")
             f, dot, v = key.partition(".")
             if f not in seen or (dot and v not in seen[f]):
                 raise MalformedInputError(

@@ -20,8 +20,8 @@ pulling the compiled source presheaf back along the identification.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import product
-from typing import Mapping
 
 from .errors import MalformedInputError
 from .lattice import Subset, _shortlex, check_name
@@ -71,6 +71,11 @@ class FeatureIdentification(Frozen):
                 f"identification {name!r} needs one value map per mapped feature"
             )
         for tgt, vmap in value_maps.items():
+            if not isinstance(vmap, Mapping):
+                kind = type(vmap).__name__
+                raise MalformedInputError(
+                    f"identification {name!r} maps {tgt!r} by a {kind}, not a value map"
+                )
             if not vmap:
                 raise MalformedInputError(
                     f"identification {name!r} has an empty value map for {tgt!r}"

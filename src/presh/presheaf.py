@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import combinations, compress, product, repeat
+from itertools import compress, product, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -31,6 +31,7 @@ from .lattice import (
     Subset,
     _shortlex,
     _shortlex_masks,
+    _subset_of_mask,
     check_name,
     close_family,
 )
@@ -462,9 +463,7 @@ def closure_complete(
     Idempotent and monotone; the second return value lists the rows added,
     per object.
     """
-    rows = {u: set(stored) for u, stored in p.rows.items()}
-    for u in p.family.objects_sorted:
-        rows.setdefault(u, set())
+    rows = {u: set(p.rows.get(u, ())) for u in p.family.objects_sorted}
     # Top down along the Hasse covers: every superset of v comes later in
     # shortlex, so its rows have reached v before v's own are projected.
     for u, v in reversed(tuple(p.family.covers())):
@@ -557,26 +556,27 @@ def blocking_sets(p: AssignmentPresheaf, a: Assignment) -> tuple[Subset, ...]:
 
     Empty result means the section extends to every superset object; each
     returned object names a scope whose constraints rule the section out.
-    The supersets are walked once, by size (``CoverFamily.supersets``), and
-    one that contains a scope already found blocking (tested against one
-    frozenset of its names) is skipped without reading its rows.  Every
-    object below a superset comes before it, so what is left blocked is
-    minimal, whether or not ``p`` is closed.  Each object read is narrowed
-    as in ``extensions``, so a row too short for a pinned feature raises
+    The supersets are walked once, in shortlex order, as int masks (bit i
+    for the universe's i-th name): the domain's bits joined to each of
+    ``_shortlex_masks`` over the other bits.  One that holds a scope found
+    blocking (``~mask & e == 0``) is skipped unread.  Every object below a
+    superset comes before it, so what is left blocked is minimal, whether
+    or not ``p`` is closed.  Each object read is narrowed as in
+    ``extensions``, so a row too short for a pinned feature raises
     ``MalformedInputError`` here as it does there.  A compiled presheaf is
     closed, and :meth:`presh.model._ObjectRows.blocking` finds the empty
     section's scopes there from fewer objects.
     """
     _require_local_section(p, a)
-    blocked: list[Subset] = []
-    scopes: list[tuple[str, ...]] = []
-    for w in p.family.supersets(a.domain):
-        if scopes and any(map(frozenset(w.names).issuperset, scopes)):
-            continue
-        if not _extending_rows(p, a, w):
-            blocked.append(w)
-            scopes.append(w.names)
-    return tuple(blocked)
+    names = p.family.universe.names
+    others = tuple(1 << i for i, n in enumerate(names) if n not in a.domain)
+    domain = (1 << len(names)) - 1 - sum(others)
+    blocked: list[int] = []
+    for mask in map(domain.__or__, _shortlex_masks(others)):
+        if all(map((~mask).__and__, blocked)):
+            if not _extending_rows(p, a, _subset_of_mask(names, mask)):
+                blocked.append(mask)
+    return tuple(_subset_of_mask(names, e) for e in blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +587,13 @@ def representable(family: CoverFamily, c: Subset) -> AbstractPresheaf:
     """The presheaf of arrows into ``c``: one element at D exactly when D ⊆ c."""
     family.require(c)
     inside = frozenset(c.names).issuperset
-    elements: dict[Subset, tuple[str, ...]] = {}
-    restrictions: dict[tuple[Subset, Subset], dict[str, str]] = {}
-    # The walk of ``family.inclusions()``, deciding V ⊆ c once per V; the
-    # maps are keyed by the family's own objects, so no ``Subset`` is built.
-    objects = {u.names: u for u in family.objects_sorted}
-    for v in family.objects_sorted:
-        hom = inside(v.names)
-        elements[v] = (HOM_TOKEN,) if hom else ()
-        for k in range(len(v.names) + 1):
-            for names in combinations(v.names, k):
-                restrictions[(objects[names], v)] = {HOM_TOKEN: HOM_TOKEN} if hom else {}
+    elements = {
+        v: (HOM_TOKEN,) if inside(v.names) else () for v in family.objects_sorted
+    }
+    restrictions = {
+        (u, v): {HOM_TOKEN: HOM_TOKEN} if elements[v] else {}
+        for u, v in family.inclusions()
+    }
     return AbstractPresheaf(family, elements, restrictions)
 
 

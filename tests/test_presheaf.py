@@ -1005,3 +1005,8 @@ class TestOrdering:
         for u in p.family.objects_sorted:
             rows = p.rows[u]
             assert list(rows) == sorted(rows, key=row_sort_key(p.fibers, u.names))
+
+    def test_values_outside_their_fiber_sort_after_the_declared_ones_by_token(self):
+        key = row_sort_key({"a": Fiber("a", ("y", "x"))}, ("a",))
+        rows = [("q",), ("x",), ("p",), ("y",)]
+        assert sorted(rows, key=key) == [("y",), ("x",), ("p",), ("q",)]

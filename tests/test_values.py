@@ -3,6 +3,7 @@ and repr text, pinned type by type, plus what ``import presh.cli`` loads."""
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,11 @@ from presh.dsl import (
     SourceSpan,
     TransferDirective,
     Workspace,
+    serialize,
 )
 from presh.errors import MalformedInputError
 from presh.lattice import CoverFamily, Subset
-from presh.model import ConstraintTable, Model
+from presh.model import ConstraintTable, Model, compile_model
 from presh.ops import (
     DiffReport,
     FeatureIdentification,
@@ -29,6 +31,7 @@ from presh.ops import (
     MergedModel,
     ObjectDiff,
     SharedFiber,
+    transfer,
 )
 from presh.presheaf import (
     AbstractPresheaf,
@@ -36,6 +39,9 @@ from presh.presheaf import (
     AssignmentPresheaf,
     Fiber,
     NatTransformation,
+    extensions,
+    pullback_presheaf,
+    validate_laws,
 )
 from presh.report import LawReport, Violation
 
@@ -453,6 +459,85 @@ def test_cached_properties_survive_freezing():
 def test_name_errors_say_which_kind_of_name_failed(make, message):
     with pytest.raises(MalformedInputError, match=f"^{message}$"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Model("m", [_fiber(), "b"]), "fiber 'b' is not a Fiber"),
+        (lambda: Model("m", {"a": 3}), "fiber 3 is not a Fiber"),
+        (lambda: Model("m", [_fiber()], [], {1: "x"}), "label key 1 is not a str"),
+        (
+            lambda: FeatureIdentification("h", {"a": "b"}, {"a": ["x"]}),
+            "identification 'h' maps 'a' by a list, not a value map",
+        ),
+    ],
+    ids=["fiber-in-a-list", "fiber-in-a-mapping", "label-key", "value-map"],
+)
+def test_wrong_typed_entries_are_malformed_input(make, message):
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        make()
+
+
+def _one_value_presheaf(*names):
+    return compile_model(Model("m", [Fiber(n, ("x",)) for n in names]))
+
+
+def _unknown_source_feature():
+    return FeatureIdentification("h", {"a": "zz"}, {"a": {"x": "x"}})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: FeatureIdentification(
+                "h", {"a": "x", "b": "x"}, {"a": {"p": "q"}, "b": {"p": "q"}}
+            ),
+            "identification 'h' maps two features onto 'x'",
+        ),
+        (
+            lambda: FeatureIdentification("h", {"a": "b"}, {"c": {"x": "p"}}),
+            "identification 'h' needs one value map per mapped feature",
+        ),
+        (
+            lambda: transfer(_unknown_source_feature(), _model()),
+            "identification 'h' maps 'a' to unknown feature 'zz'",
+        ),
+        (lambda: Assignment(A, ("x",)).value_of("zz"), "'zz' not in {a}"),
+        (
+            lambda: extensions(
+                _one_value_presheaf("a", "b"), Assignment(A, ("x",)), Subset(["b"])
+            ),
+            "{a} is not contained in {b}",
+        ),
+        (lambda: validate_laws(object()), "not a presheaf: object"),
+        (
+            lambda: pullback_presheaf(_unknown_source_feature(), _one_value_presheaf("a")),
+            "mapped feature 'zz' missing from the source",
+        ),
+        (lambda: serialize(42), "cannot serialize int"),
+    ],
+    ids=[
+        "identification-onto-one-feature",
+        "identification-value-maps",
+        "transfer-unknown-feature",
+        "value-of",
+        "extensions-not-contained",
+        "validate-laws",
+        "pullback-missing-feature",
+        "serialize",
+    ],
+)
+def test_input_errors_say_what_is_wrong(make, message):
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_a_law_report_is_true_exactly_when_it_passed():
+    failed = LawReport((Violation("closure", "detail"),))
+    assert [bool(LawReport()), bool(failed)] == [LawReport().passed, failed.passed]
+    assert [bool(LawReport()), bool(failed)] == [True, False]
 
 
 def test_import_of_the_cli_loads_no_dataclasses_or_inspect():
