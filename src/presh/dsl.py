@@ -299,7 +299,11 @@ class _IdentBuilder:
         self.current: str | None = None
 
     def build(self) -> IdentificationDecl:
-        ident = FeatureIdentification(self.name, self.feature_map, self.value_maps)
+        # the parser has matched every name and refused a feature mapped
+        # twice; an empty value map is the one check left, made by the caller
+        ident = FeatureIdentification._trusted(
+            self.name, self.feature_map, self.value_maps
+        )
         return IdentificationDecl(ident, self.target_name, self.source_name)
 
 
@@ -651,10 +655,13 @@ class _Parser:
                 if ident.current is not None:
                     ident.current = None
                     continue
-                try:
-                    self.items.append(ident.build())
-                except MalformedInputError as exc:
-                    raise ParseError(str(exc), _span(ident.head), source=self.source)
+                empty = [t for t, vmap in ident.value_maps.items() if not vmap]
+                if empty:
+                    message = f"identification {ident.name!r} has an empty value map"
+                    raise ParseError(
+                        f"{message} for {empty[0]!r}", _span(ident.head), source=self.source
+                    )
+                self.items.append(ident.build())
                 self.ident = None
                 line.end()
                 return

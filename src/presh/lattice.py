@@ -10,6 +10,10 @@ universe alone: objects, inclusions and Hasse covers are generated from it,
 never stored or validated.  The saturation view (close seeds under meet/join
 until a fixed point) is kept as an independent oracle in the test suite.
 
+A family of any size is read object by object; only the walks over every
+subset (:func:`_shortlex`, :func:`_shortlex_masks`) refuse, above
+``LATTICE_SIZE_BOUND`` names.
+
 Canonical orders used throughout the package:
 
 * feature names inside a subset: lexicographic;
@@ -32,7 +36,8 @@ from .report import Frozen, LawReport, Violation
 #: Valid feature, value, model or identification name.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
-#: Largest universe for which a family (2**n objects) may be materialized.
+#: Most names a walk over all their subsets (2**n objects) may range over;
+#: :func:`_require_walkable` checks it at the start of every such walk.
 LATTICE_SIZE_BOUND = 12
 
 #: Largest outer set for which the adjunction sweep runs exhaustively.
@@ -111,8 +116,20 @@ class Subset(Frozen):
         return "{" + ",".join(self.names) + "}"
 
 
+def _require_walkable(n: int) -> None:
+    """Refuse a walk over every subset of ``n`` names above ``LATTICE_SIZE_BOUND``."""
+    if n > LATTICE_SIZE_BOUND:
+        raise EnumerationBoundError(
+            f"family over {n} features refused",
+            required=2**n,
+            bound=2**LATTICE_SIZE_BOUND,
+        )
+
+
 def _shortlex(names: tuple[str, ...]) -> Iterator[Subset]:
-    """Every subset of the sorted, validated ``names``, in shortlex order."""
+    """Every subset of the sorted, validated ``names``, in shortlex order;
+    refused on the first read above ``LATTICE_SIZE_BOUND`` names."""
+    _require_walkable(len(names))
     for k in range(len(names) + 1):
         for combo in combinations(names, k):
             yield Subset._trusted(combo)
@@ -121,7 +138,10 @@ def _shortlex(names: tuple[str, ...]) -> Iterator[Subset]:
 class CoverFamily(Frozen):
     """The subset lattice a presheaf is indexed by: every subset of ``universe``.
 
-    Construct through :func:`close_family` to get the size bound.
+    Membership, :meth:`require` and reads of single objects work at any
+    size.  ``objects_sorted``, and ``objects``, :meth:`inclusions` and
+    :meth:`covers` through it, walk every object, and refuse above
+    ``LATTICE_SIZE_BOUND`` features.
     """
 
     universe: Subset
@@ -170,19 +190,14 @@ class CoverFamily(Frozen):
 
 
 def close_family(universe: Subset) -> CoverFamily:
-    """The family over ``universe``, refused above ``LATTICE_SIZE_BOUND`` features.
+    """The family over ``universe``, of any size; its whole-lattice walks
+    refuse above ``LATTICE_SIZE_BOUND`` features (see :class:`CoverFamily`).
 
     Every family must hold the empty set, all singletons, and the universe,
     and be closed under pairwise meet and join; union-closure over the
     singletons then already yields every subset, so the result is always the
     full power set.
     """
-    if len(universe) > LATTICE_SIZE_BOUND:
-        raise EnumerationBoundError(
-            f"family over {len(universe)} features refused",
-            required=2 ** len(universe),
-            bound=2**LATTICE_SIZE_BOUND,
-        )
     return CoverFamily(universe)
 
 
@@ -205,7 +220,9 @@ def restriction_functor_r(v: Subset, s1: Subset) -> Subset:
 
 def _shortlex_masks(bits: tuple[int, ...]) -> list[int]:
     """The mask of every subset of ``bits``, in shortlex order of the names
-    behind them when ``bits`` stand for sorted names in increasing order."""
+    behind them when ``bits`` stand for sorted names in increasing order;
+    refused above ``LATTICE_SIZE_BOUND`` bits."""
+    _require_walkable(len(bits))
     return [sum(combo) for k in range(len(bits) + 1) for combo in combinations(bits, k)]
 
 

@@ -7,8 +7,8 @@ the cover family are the assignments that satisfy every table whose scope
 fits inside the object.  Restriction closure holds by construction: any
 table applicable at a smaller object is applicable at every larger one.
 
-Compilation checks the bounds and encodes the tables up front, and builds
-each object on first read (:class:`_ObjectRows`, which states the build
+Compilation checks each table's bound and encodes the tables up front, and
+builds each object on first read (:class:`_ObjectRows`, which states the build
 order, over the loop in :mod:`presh.kernel`).
 
 Two independent evaluation paths exist on purpose: :func:`oracle_sections`
@@ -242,8 +242,11 @@ class _ObjectRows(Mapping):
     of the family in shortlex order, and membership builds nothing.
     ``items``, ``values`` and ``==`` read the objects in that order, where
     each object's prefix object comes earlier, so every read is one step
-    from an object already built.  ``get`` gives ``default`` and ``[]``
-    raises ``KeyError`` for anything that is not a family object.
+    from an object already built.  These and :meth:`blocking` walk the whole
+    lattice, and refuse above ``LATTICE_SIZE_BOUND`` features; ``[]``,
+    ``get``, :meth:`count` and membership answer at any size.  ``get`` gives
+    ``default`` and ``[]`` raises ``KeyError`` for anything that is not a
+    family object.
     """
 
     def __init__(self, family: CoverFamily, model: Model):
@@ -439,9 +442,10 @@ def compile_model(model: Model) -> AssignmentPresheaf:
 
     Every family object gets the rows (value tuples) satisfying all tables
     whose scope it contains; empty section sets are valid data, not errors.
-    The bounds are checked here, before any object is read: the family's
-    ``LATTICE_SIZE_BOUND`` and each table's ``TABLE_MASK_BOUND``.  The objects
-    themselves are built on first read (see :class:`_ObjectRows`).
+    Each table's ``TABLE_MASK_BOUND`` is checked here, before any object is
+    read.  The family may have any number of features: the objects are
+    built on first read (see :class:`_ObjectRows`), and only a walk over
+    every object refuses, above ``LATTICE_SIZE_BOUND`` features.
     """
     family = close_family(model.features)
     rows = _ObjectRows(family, model)

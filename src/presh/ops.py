@@ -85,6 +85,17 @@ class FeatureIdentification(Frozen):
                 check_name(sv, "value")
         super().__init__(name, feature_map, value_maps)
 
+    @classmethod
+    def _trusted(
+        cls, name: str, feature_map: dict[str, str], value_maps: dict[str, dict[str, str]]
+    ) -> "FeatureIdentification":
+        """The identification of checked parts: valid names throughout, a
+        ``feature_map`` onto distinct source features, and one non-empty
+        value map per mapped feature; skips ``__init__``'s checks."""
+        ident = object.__new__(cls)
+        Frozen.__init__(ident, name, feature_map, value_maps)
+        return ident
+
     def target_fibers(self) -> dict[str, Fiber]:
         return {t: Fiber(t, tuple(vmap)) for t, vmap in self.value_maps.items()}
 

@@ -151,8 +151,34 @@ class TestExitCodes:
     def test_analogy_target_over_the_lattice_bound_is_refused(
         self, capsys, tmp_path, command
     ):
-        # the target does not match the transfer, but is compiled before
-        # the two are compared
+        # the transfer has the target's 13 features but not its fiber of t0,
+        # so the analogy compares the two objectwise and walks the lattice;
+        # the closure suite walks every object of the target
+        ws = tmp_path / "w.pshw"
+        ws.write_text(
+            "model A\n"
+            + "".join(f"feature f{i}: a\n" for i in range(13))
+            + "model T\nfeature t0: a | b\n"
+            + "".join(f"feature t{i}: a\n" for i in range(1, 13))
+            + "identify h: T -> A {\n"
+            + "".join(f"  feature t{i} -> f{i} {{\n    a -> a\n  }}\n" for i in range(13))
+            + "}\n"
+        )
+        code, out, err = run(capsys, "--workspace", str(ws), *command)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: family over 13 features refused")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "--laws=analogy"], ["transfer", "h", "A"]],
+        ids=["check-analogy", "transfer"],
+    )
+    def test_analogy_against_a_target_over_the_lattice_bound_fails_on_its_features(
+        self, capsys, tmp_path, command
+    ):
+        # the feature sets differ, so the analogy fails before it reads an
+        # object of the 13-feature target
         ws = tmp_path / "w.pshw"
         ws.write_text(
             "model A\nfeature f: a\nmodel T\n"
@@ -160,9 +186,12 @@ class TestExitCodes:
             + "identify h: T -> A {\n  feature g -> f {\n    a -> a\n  }\n}\n"
         )
         code, out, err = run(capsys, "--workspace", str(ws), *command)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("refused: family over 13 features refused")
+        assert (code, err) == (1, "")
+        targets = ",".join(sorted(f"t{i}" for i in range(13)))
+        assert (
+            f"  {'h: ' if command[0] == 'check' else ''}analogy-feature-set: "
+            f"transferred features {{g}} vs target {{{targets}}}\n"
+        ) in out
 
     def test_usage_error_is_2(self, capsys, hub_path):
         code, _, _ = run(capsys, "--workspace", hub_path, "nonsense")
@@ -1162,6 +1191,9 @@ WORKSPACES = {
     # 12 features of 8 values, consecutive features allowed to differ by at
     # most one step: 807,574 global sections
     "wide": FIXTURES / "wide_chain.psh",
+    # two 8-feature chains sharing one feature, merged into 15 features:
+    # past the lattice bound, 16 global sections
+    "widemerge": FIXTURES / "wide_merge.pshw",
 }
 CLI_CASES = {
     "hub-check": ("hub", "check"),
@@ -1238,6 +1270,16 @@ CLI_CASES = {
     "organization-check": ("organization", "check", "--laws=closure,adjunction"),
     "organization-render-dot": ("organization", "render", "Organization", "dot"),
     "wide-sections-count": ("wide", "--max-enum", "300000000000", "sections", "W", "--count"),
+    # the merge and the count read a few objects of the 15-feature amalgam,
+    # under a bound above its 3**15 estimate; the closure suite walks every
+    # object and is refused
+    "widemerge-merge": ("widemerge", "--max-enum", "20000000", "merge", "L", "R"),
+    "widemerge-sections-count": (
+        "widemerge", "--max-enum", "20000000", "sections", "L_R", "--count"
+    ),
+    "widemerge-check-closure": (
+        "widemerge", "--max-enum", "20000000", "check", "--laws=closure"
+    ),
     "comma-sections": ("comma", "sections", "DigitalHub"),
     "comma-transfer": ("comma", "transfer", "AudioVideo", "IMovieHub"),
     "broken-check": ("broken", "check"),
@@ -1381,6 +1423,22 @@ def test_comma_ended_tables_print_what_the_hub_prints():
                 for name in ("comma", "hub")
             )
             assert comma == hub, (case, fmt)
+
+
+def test_wide_merge_goldens_count_what_the_oracle_counts():
+    # the 15-feature amalgam: the merge and the count print the oracle's
+    # number of global sections
+    ws = presh.parse_workspace_file(str(WORKSPACES["widemerge"]))
+    left, right = ws.models["L"], ws.models["R"]
+    merged = presh.amalgamate(left, right).result
+    assert len(merged.features) == 15
+    n = len(oracle_sections(merged, merged.features))
+    merge, count = (
+        (GOLDEN_CLI / _golden_name(f"widemerge-{case}", "text")).read_text(encoding="utf-8")
+        for case in ("merge", "sections-count")
+    )
+    assert f"\nglobal sections: {n}\n" in merge
+    assert f"}}: {n}\n" in count
 
 
 def test_golden_check_names_each_changed_missing_and_orphan_golden(tmp_path):

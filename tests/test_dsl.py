@@ -203,6 +203,31 @@ def test_parsing_the_hub_builds_no_span(monkeypatch, data_dir):
     assert built == [(2, 16, 1)]
 
 
+def test_parsed_identifications_skip_the_checked_constructor(monkeypatch, data_dir):
+    # the parser has checked every name an identification holds, so it builds
+    # the identification as ``FeatureIdentification`` would, without its checks
+    from presh.ops import FeatureIdentification
+
+    def refuse(self, *args):
+        raise AssertionError("the checked constructor ran")
+
+    monkeypatch.setattr(FeatureIdentification, "__init__", refuse)
+    h = parse_workspace_file(data_dir / "digital_hub.pshw").identifications[
+        "AudioVideo"
+    ].ident
+    monkeypatch.undo()
+    assert h == FeatureIdentification(h.name, h.feature_map, h.value_maps)
+    assert h.feature_map["storage"] == "screen"
+    # the one check left to the parser, at the block's head
+    with pytest.raises(ParseError) as err:
+        parse_workspace(
+            "model A\nfeature f: x\nidentify h: T -> A {\n  feature t -> f {}\n}\n"
+        )
+    assert str(err.value) == (
+        "<workspace>:3:1: identification 'h' has an empty value map for 't'"
+    )
+
+
 class TestWorkspace:
     def test_hub_structure(self, hub_workspace):
         ws = hub_workspace

@@ -76,9 +76,15 @@ class TestCloseFamily:
         assert saturation_close(fam.universe, fam.objects) == fam.objects
 
     def test_size_refusal(self):
+        # a 13-feature family is built; walking its every object is refused
         big = Subset(f"f{i}" for i in range(13))
-        with pytest.raises(EnumerationBoundError):
-            close_family(big)
+        fam = close_family(big)
+        assert big in fam and fam.universe == big
+        with pytest.raises(EnumerationBoundError) as err:
+            fam.objects_sorted
+        assert str(err.value) == (
+            "family over 13 features refused (required 8192, bound 4096)"
+        )
 
     def test_invariants_hold(self):
         universe = S("a", "b", "c")

@@ -15,14 +15,17 @@ from presh.model import (
     oracle_sections,
     random_model,
 )
-from presh.ops import condition
+from presh.ops import condition, diff_presheaves
 from presh.presheaf import (
     Assignment,
     Fiber,
     blocking_sets,
+    closure_complete,
+    extensions,
     global_sections,
     validate_laws,
 )
+from presh.render import dot_cover_family
 
 from util import record_builds, record_kernel, reference_blocking_sets
 
@@ -84,9 +87,14 @@ class TestCompile:
         assert p.sections_at(S()) == (Assignment(S(), ()),)
 
     def test_universe_size_refusal(self):
+        # a 13-feature model compiles; walking its every object is refused
         m = Model("big", [Fiber(f"f{i}", ("x",)) for i in range(13)])
-        with pytest.raises(EnumerationBoundError):
-            compile_model(m)
+        p = compile_model(m)
+        with pytest.raises(EnumerationBoundError) as err:
+            p.family.objects_sorted
+        assert str(err.value) == (
+            "family over 13 features refused (required 8192, bound 4096)"
+        )
 
     def test_table_mask_size_refusal(self):
         wide = tuple(f"v{i}" for i in range(170))
@@ -339,6 +347,62 @@ class TestWideChain:
         out = capsys.readouterr().out
         assert code == 0
         assert int(out.rsplit(": ", 1)[1]) == _walks(12, 8) == 807574
+
+
+def _wide_equality_chain(n: int) -> Model:
+    """``n`` two-valued features, each equal to the next: two global sections."""
+    names = [f"x{i:02}" for i in range(n)]
+    equal = [("v0", "v0"), ("v1", "v1")]
+    return Model(
+        "E",
+        [Fiber(f, ("v0", "v1")) for f in names],
+        [ConstraintTable(S(f, g), "allow", equal) for f, g in zip(names, names[1:])],
+    )
+
+
+class TestPastTheLatticeBound:
+    """A 16-feature model, wider than ``LATTICE_SIZE_BOUND``: reads of a few
+    objects answer, and every walk over the whole lattice is refused."""
+
+    def test_reads_of_a_few_objects_answer(self):
+        p = compile_model(_wide_equality_chain(16))
+        universe = p.family.universe
+        assert p.rows.count(universe) == 2
+        assert p.rows[S("x00", "x15")] == (
+            ("v0", "v0"), ("v0", "v1"), ("v1", "v0"), ("v1", "v1")
+        )
+        top = [("v0",) * 16, ("v1",) * 16]
+        assert [a.values for a in global_sections(p)] == top
+        assert extensions(p, A(x07="v1"), universe) == (Assignment(universe, top[1]),)
+        assert "objects_sorted" not in p.family.__dict__
+
+    @pytest.mark.parametrize(
+        "walk, features",
+        [
+            (lambda p: len(p.rows), 16),
+            (validate_laws, 16),
+            (lambda p: p.rows.blocking(), 16),
+            (lambda p: p.as_abstract(), 16),
+            (closure_complete, 16),
+            (lambda p: dot_cover_family(p, "E"), 16),
+            (lambda p: diff_presheaves(p, p), 16),
+            # the supersets of a one-feature domain: every subset of the
+            # other 15 features
+            (lambda p: blocking_sets(p, A(x00="v0")), 15),
+        ],
+        ids=[
+            "len", "validate_laws", "blocking", "as_abstract", "closure_complete",
+            "dot_cover_family", "diff_presheaves", "blocking_sets",
+        ],
+    )
+    def test_whole_lattice_walks_are_refused(self, walk, features):
+        p = compile_model(_wide_equality_chain(16))
+        with pytest.raises(EnumerationBoundError) as err:
+            walk(p)
+        assert str(err.value) == (
+            f"family over {features} features refused "
+            f"(required {2**features}, bound 4096)"
+        )
 
 
 class TestOracle:
